@@ -24,19 +24,18 @@ remaining fields follow the encoding order above:
 
 from __future__ import annotations
 
-import hashlib
+import hmac
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, BinaryIO
 
-from .memory import DeviceState, RegionKind
+from .memory import DeviceState, MemoryLayout, RegionKind
 
 if TYPE_CHECKING:
     from .detector import AccessEvent, ViolationKind
 
 NONCE_SIZE = 32
 TAG_SIZE = 32
-_SHA256_BLOCK = 64
 
 MSG_REQUEST = 0x01
 MSG_REPORT = 0x02
@@ -51,26 +50,22 @@ class FrameError(ValueError):
 
 
 def hmac_sha256(key: bytes, msg: bytes) -> bytes:
-    """RFC 2104 HMAC over SHA-256 (keyed pads built explicitly)."""
-    if len(key) > _SHA256_BLOCK:
-        key = hashlib.sha256(key).digest()
-    key = key.ljust(_SHA256_BLOCK, b"\x00")
-    ipad = bytes(b ^ 0x36 for b in key)
-    opad = bytes(b ^ 0x5C for b in key)
-    inner = hashlib.sha256(ipad + msg).digest()
-    return hashlib.sha256(opad + inner).digest()
-
-
-def _consttime_eq(a: bytes, b: bytes) -> bool:
-    if len(a) != len(b):
-        return False
-    acc = 0
-    for x, y in zip(a, b):
-        acc |= x ^ y
-    return acc == 0
+    """RFC 2104 HMAC over SHA-256: the one keyed digest of boot checks and
+    attestation tags (stdlib ``hmac``)."""
+    return hmac.digest(key, msg, "sha256")
 
 
 # -- proof of execution ------------------------------------------------
+
+
+def check_window(layout: MemoryLayout, er_min: int, er_max: int) -> None:
+    """Raise BadBoundsError unless [er_min, er_max] lies inside app RAM."""
+    app = layout.region(RegionKind.APP_RAM)
+    if not (app.start <= er_min <= er_max <= app.end):
+        raise BadBoundsError(
+            f"window 0x{er_min:04X}-0x{er_max:04X} outside app RAM "
+            f"0x{app.start:04X}-0x{app.end:04X}"
+        )
 
 
 def pox_begin(state: DeviceState, er_min: int, er_max: int) -> DeviceState:
@@ -79,12 +74,7 @@ def pox_begin(state: DeviceState, er_min: int, er_max: int) -> DeviceState:
     Re-arming replaces any window in progress.  The exec flag keeps its last
     finalized value until this window breaches or completes.
     """
-    app = state.layout.region(RegionKind.APP_RAM)
-    if not (app.start <= er_min <= er_max <= app.end):
-        raise BadBoundsError(
-            f"window 0x{er_min:04X}-0x{er_max:04X} outside app RAM "
-            f"0x{app.start:04X}-0x{app.end:04X}"
-        )
+    check_window(state.layout, er_min, er_max)
     em = state.exec_meta
     em.er_min = er_min
     em.er_max = er_max
@@ -201,7 +191,7 @@ def verify_report(
             req.nonce, report.er_min, report.er_max, report.exec_flag, expected_region_bytes
         ),
     )
-    ok = _consttime_eq(expected_tag, report.tag)
+    ok = hmac.compare_digest(expected_tag, report.tag)
     if require_exec:
         ok = ok and report.exec_flag
     return ok

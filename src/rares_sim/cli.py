@@ -7,10 +7,6 @@
 Exit codes: 0 clean, 1 scenario/usage error, 2 violations detected (or a
 failed attestation verdict), 3 unrecoverable device.  JSON output goes to
 stdout with nothing else mixed in; diagnostics go to stderr.
-
-The RARES_SIM_SEED environment variable is accepted for forward
-compatibility with randomized workloads; the simulator itself is fully
-deterministic and does not consume it.
 """
 
 from __future__ import annotations
@@ -18,7 +14,6 @@ from __future__ import annotations
 import argparse
 import enum
 import json
-import os
 import sys
 
 from .attestation import NONCE_SIZE, AttestRequest, verify_report
@@ -27,6 +22,7 @@ from .scenario import (
     AttestAt,
     Scenario,
     ScenarioError,
+    _boot_to_dict,
     build_device,
     parse_scenario_file,
     run,
@@ -113,15 +109,7 @@ def cmd_boot(args) -> int:
     scenario = _load(args.scenario)
     _, boot = _boot_fresh(scenario)
     if args.format == "json":
-        payload = {
-            "scenario": scenario.name,
-            "outcome": boot.outcome.value,
-            "attempts": boot.attempts,
-            "digests": [
-                {"computed": computed.hex(), "reference": reference.hex()}
-                for computed, reference in boot.digests
-            ],
-        }
+        payload = {"scenario": scenario.name, **_boot_to_dict(boot)}
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         sys.stdout.write(f"boot: {boot.outcome.value} attempts={boot.attempts}\n")
@@ -149,8 +137,7 @@ def cmd_attest(args) -> int:
         end = int(args.end, 0) if args.end is not None else app.end
     except ValueError:
         raise ScenarioError("--start/--end: bad address") from None
-    start_kind = scenario.layout.classify(start)
-    if start > end or start_kind is None or scenario.layout.classify(end) is not start_kind:
+    if scenario.layout.span(start, end) is None:
         raise ScenarioError("--start/--end must lie within one mapped region")
     request = AttestRequest(nonce=nonce, region_start=start, region_end=end)
 
@@ -200,14 +187,6 @@ def cmd_attest(args) -> int:
 
 
 def main(argv=None) -> int:
-    # Reserved for future randomized workloads; validated but not consumed.
-    seed = os.environ.get("RARES_SIM_SEED")
-    if seed is not None:
-        try:
-            int(seed)
-        except ValueError:
-            sys.stderr.write(f"warning: ignoring non-integer RARES_SIM_SEED={seed!r}\n")
-
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "boot": cmd_boot, "attest": cmd_attest}

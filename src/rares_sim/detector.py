@@ -162,6 +162,16 @@ def exec_context(layout: MemoryLayout, pc: int) -> ExecContext:
     return ExecContext.OTHER
 
 
+# Each bus's (RAM write, RAM read, stack read, ROM read) kinds, indexed by
+# dma_en; every DMA bit is its CPU bit - 4 (D2-D5 vs D6-D9).
+_BUS_KINDS = (
+    (ViolationKind.CPU_RAM_WR, ViolationKind.CPU_RAM_RD,
+     ViolationKind.CPU_STACK_RD, ViolationKind.CPU_ROM_RD),
+    (ViolationKind.DMA_RAM_WR, ViolationKind.DMA_RAM_RD,
+     ViolationKind.DMA_STACK_RD, ViolationKind.DMA_ROM_RD),
+)
+
+
 def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
     """Pure rule-table match; benign events yield the empty set."""
     out: set[ViolationKind] = set()
@@ -171,32 +181,19 @@ def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
             out.add(ViolationKind.IRQ_RAM)
         elif ctx is ExecContext.IN_SW_ATT:
             out.add(ViolationKind.IRQ_STACK)
-    if event.dma_en:
-        target = layout.classify(event.dma_addr)
-        if event.wen and target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
-            out.add(ViolationKind.DMA_RAM_WR)
-        if event.ren:
-            if target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
-                out.add(ViolationKind.DMA_RAM_RD)
-            if target is RegionKind.RESERVED_STACK and ctx is ExecContext.OTHER:
-                out.add(ViolationKind.DMA_STACK_RD)
-            if target is RegionKind.KEY_ROM and ctx is not ExecContext.IN_SW_ATT:
-                out.add(ViolationKind.DMA_ROM_RD)
-            if target is RegionKind.BOOT_ROM and ctx is ExecContext.OTHER:
-                out.add(ViolationKind.DMA_ROM_RD)
-    else:
-        target = layout.classify(event.daddr)
-        if event.wen and target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
-            out.add(ViolationKind.CPU_RAM_WR)
-        if event.ren:
-            if target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
-                out.add(ViolationKind.CPU_RAM_RD)
-            if target is RegionKind.RESERVED_STACK and ctx is ExecContext.OTHER:
-                out.add(ViolationKind.CPU_STACK_RD)
-            if target is RegionKind.KEY_ROM and ctx is not ExecContext.IN_SW_ATT:
-                out.add(ViolationKind.CPU_ROM_RD)
-            if target is RegionKind.BOOT_ROM and ctx is ExecContext.OTHER:
-                out.add(ViolationKind.CPU_ROM_RD)
+    ram_wr, ram_rd, stack_rd, rom_rd = _BUS_KINDS[event.dma_en]
+    target = layout.classify(event.dma_addr if event.dma_en else event.daddr)
+    if event.wen and target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
+        out.add(ram_wr)
+    if event.ren:
+        if target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
+            out.add(ram_rd)
+        if target is RegionKind.RESERVED_STACK and ctx is ExecContext.OTHER:
+            out.add(stack_rd)
+        if target is RegionKind.KEY_ROM and ctx is not ExecContext.IN_SW_ATT:
+            out.add(rom_rd)
+        if target is RegionKind.BOOT_ROM and ctx is ExecContext.OTHER:
+            out.add(rom_rd)
     return out
 
 

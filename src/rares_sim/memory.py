@@ -106,6 +106,14 @@ class MemoryLayout:
             return self.regions[i].kind
         return None
 
+    def span(self, start: int, end: int) -> Region | None:
+        """The region holding all of [start, end]; None when the range is
+        inverted, starts in a gap, or leaves its region."""
+        i = bisect_right(self._starts, start) - 1
+        if i >= 0 and start <= end <= self.regions[i].end:
+            return self.regions[i]
+        return None
+
 
 def build_layout(regions: list[tuple[RegionKind, int, int]] | None = None) -> MemoryLayout:
     """Validate a region list (each kind exactly once, disjoint, 16-bit bounds).
@@ -142,11 +150,6 @@ def build_layout(regions: list[tuple[RegionKind, int, int]] | None = None) -> Me
     if meta.size < 2:
         raise LayoutError("metadata region must hold at least the 2-byte register image")
     return MemoryLayout(built)
-
-
-def classify_addr(layout: MemoryLayout, addr: int) -> RegionKind | None:
-    """Unique containing region for addr, or None for a gap address."""
-    return layout.classify(addr)
 
 
 @dataclass(frozen=True)
@@ -251,11 +254,10 @@ class DeviceState:
 
     def region_bytes(self, start: int, end: int) -> bytes:
         """Contents of [start, end] inclusive; bounds must share one region."""
-        kind = self.layout.classify(start)
-        if kind is None or self.layout.classify(end) is not kind or start > end:
+        region = self.layout.span(start, end)
+        if region is None:
             raise ValueError(f"range 0x{start:04X}-0x{end:04X} not within one region")
-        region = self.layout.region(kind)
-        return bytes(self.mem[kind][start - region.start:end - region.start + 1])
+        return bytes(self.mem[region.kind][start - region.start:end - region.start + 1])
 
     def region_digests(self) -> dict[str, str]:
         return {

@@ -41,6 +41,7 @@ are answered after the next processed event, or after the trace ends.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from . import detector as det
@@ -48,7 +49,9 @@ from .attestation import (
     NONCE_SIZE,
     AttestReport,
     AttestRequest,
+    BadBoundsError,
     attest,
+    check_window,
     hmac_sha256,
     pox_abort,
     pox_begin,
@@ -69,7 +72,10 @@ from .memory import (
     build_layout,
 )
 from .prevention import (
-    ActionKind,
+    CHIP_GATE_AND_RECOVER,
+    HARD_CPU_OFF,
+    NO_ACTION,
+    SYSTEM_RESET,
     ActionRecord,
     ModeRegister,
     PreventionAction,
@@ -175,10 +181,8 @@ def _parse_cycle(value, where: str) -> int:
 
 _REGION_NAMES = {kind.value: kind for kind in RegionKind}
 _ACTION_NAMES = {
-    "none": PreventionAction(ActionKind.NONE),
-    "hard_cpu_off": PreventionAction(ActionKind.HARD_CPU_OFF),
-    "chip_gate_and_recover": PreventionAction(ActionKind.CHIP_GATE_AND_RECOVER),
-    "system_reset": PreventionAction(ActionKind.SYSTEM_RESET),
+    action.label(): action
+    for action in (NO_ACTION, HARD_CPU_OFF, CHIP_GATE_AND_RECOVER, SYSTEM_RESET)
 }
 
 _TOP_KEYS = {"name", "layout", "key", "golden", "regions", "binding", "pox", "attest", "trace"}
@@ -226,6 +230,8 @@ def _parse_binding(obj) -> PreventionBinding:
             mask = entry.get("mask")
         else:
             raise ScenarioSemanticError(f"binding.{name}: expected a string or object")
+        if not isinstance(action_name, str):
+            raise ScenarioSemanticError(f"binding.{name}.action: expected a string")
         if action_name == "soft_mode_switch":
             if mask is None:
                 overrides[kind] = soft_mode_switch()
@@ -320,12 +326,16 @@ def parse_scenario(text: str) -> Scenario:
         )
         if pox.begin_cycle > pox.end_cycle:
             raise ScenarioSemanticError("pox: begin_cycle after end_cycle")
-        app = layout.region(RegionKind.APP_RAM)
-        if not (app.start <= pox.er_min <= pox.er_max <= app.end):
-            raise ScenarioSemanticError("pox: window bounds outside app RAM")
+        try:
+            check_window(layout, pox.er_min, pox.er_max)
+        except BadBoundsError:
+            raise ScenarioSemanticError("pox: window bounds outside app RAM") from None
 
     attest_requests: list[AttestAt] = []
-    for i, aobj in enumerate(obj.get("attest", [])):
+    raw_attest = obj.get("attest", [])
+    if not isinstance(raw_attest, list):
+        raise ScenarioSemanticError("attest: expected an array")
+    for i, aobj in enumerate(raw_attest):
         where = f"attest[{i}]"
         if not isinstance(aobj, dict):
             raise ScenarioSemanticError(f"{where}: expected an object")
@@ -334,8 +344,7 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioSemanticError(f"{where}.nonce: must be {NONCE_SIZE} bytes")
         start = _parse_addr(aobj.get("region_start"), f"{where}.region_start")
         end = _parse_addr(aobj.get("region_end"), f"{where}.region_end")
-        start_kind = layout.classify(start)
-        if start > end or start_kind is None or layout.classify(end) is not start_kind:
+        if layout.span(start, end) is None:
             raise ScenarioSemanticError(f"{where}: bounds must lie within one mapped region")
         attest_requests.append(
             AttestAt(
@@ -615,6 +624,16 @@ def run(scenario: Scenario) -> RunReport:
     next_attest = 0
     halted_for_good = False
 
+    def answer_due(last_cycle: float) -> None:
+        """Answer every pending challenge due by last_cycle, in order."""
+        nonlocal next_attest
+        while next_attest < len(pending) and pending[next_attest].cycle <= last_cycle:
+            entry = pending[next_attest]
+            next_attest += 1
+            report.attest_answers.append(
+                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
+            )
+
     for step_rec in scenario.trace:
         label = step_rec.cycle
         if not pox_done and not pox_armed and label >= pox.begin_cycle:
@@ -658,12 +677,7 @@ def run(scenario: Scenario) -> RunReport:
             pox_end(state)
             pox_done = True
 
-        while next_attest < len(pending) and pending[next_attest].cycle <= label:
-            entry = pending[next_attest]
-            next_attest += 1
-            report.attest_answers.append(
-                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
-            )
+        answer_due(label)
 
         if state.recovery_queued:
             reflash(state)
@@ -683,12 +697,7 @@ def run(scenario: Scenario) -> RunReport:
             if not pox_armed:
                 pox_begin(state, pox.er_min, pox.er_max)
             pox_end(state)
-        while next_attest < len(pending):
-            entry = pending[next_attest]
-            next_attest += 1
-            report.attest_answers.append(
-                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
-            )
+        answer_due(math.inf)
         violated = bool(report.pre_clear_ctrl & det.DETECT_MASK)
         report.exit_class = "violations" if violated else "clean"
 

@@ -9,10 +9,11 @@ operation.
 
 from __future__ import annotations
 
+import hmac
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .attestation import _consttime_eq, hmac_sha256
+from .attestation import hmac_sha256
 from .memory import DeviceState, RegionKind
 
 
@@ -32,7 +33,7 @@ class BootReport:
 def verify_flash(state: DeviceState) -> tuple[bool, bytes]:
     """Authenticate flash contents; constant-time digest comparison."""
     digest = hmac_sha256(state.key(), state.flash_bytes())
-    return _consttime_eq(digest, state.reference_digest), digest
+    return hmac.compare_digest(digest, state.reference_digest), digest
 
 
 def reflash(state: DeviceState) -> DeviceState:

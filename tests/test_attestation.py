@@ -13,7 +13,6 @@ from rares_sim.attestation import (
     AttestRequest,
     BadBoundsError,
     FrameError,
-    _consttime_eq,
     attest,
     decode_report,
     decode_request,
@@ -79,13 +78,6 @@ def test_keyed_digest_known_answers(key, msg, expected):
 @settings(max_examples=300)
 def test_keyed_digest_matches_stdlib(key, msg):
     assert hmac_sha256(key, msg) == stdlib_hmac.new(key, msg, hashlib.sha256).digest()
-
-
-def test_consttime_eq():
-    assert _consttime_eq(b"abc", b"abc")
-    assert not _consttime_eq(b"abc", b"abd")
-    assert not _consttime_eq(b"abc", b"abcd")
-    assert _consttime_eq(b"", b"")
 
 
 # -- proof of execution -----------------------------------------------------

@@ -145,6 +145,16 @@ def test_default_classify_matches_linear_scan(layout, addr):
     assert layout.classify(addr) == classify_linear(layout.regions, addr)
 
 
+@given(rows=disjoint_layouts(), start=st.integers(0, 0x1400), length=st.integers(-8, 600))
+@settings(max_examples=300)
+def test_span_matches_linear_scan(rows, start, length):
+    layout = build_layout(rows)
+    end = start + length
+    kind = classify_linear(layout.regions, start)
+    same = kind is not None and start <= end and classify_linear(layout.regions, end) is kind
+    assert layout.span(start, end) == (layout.region(kind) if same else None)
+
+
 def test_region_fenceposts(layout):
     for region in layout.regions:
         assert layout.classify(region.start) == region.kind

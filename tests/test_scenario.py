@@ -14,6 +14,7 @@ from rares_sim.memory import GoldenImage, RegionKind, build_layout
 from rares_sim.prevention import ActionKind, default_binding
 from rares_sim.scenario import (
     Scenario,
+    ScenarioError,
     ScenarioSemanticError,
     ScenarioSyntaxError,
     TraceStep,
@@ -85,11 +86,40 @@ def test_bad_json_reports_position():
          "nonce"),
         ('{"golden": {"image": "' + "00" * 3000 + '"}}', "exceed region size"),
         ('{"layout": {"app_ram": ["0x4000", "0x7FFF"]}}', "overlap"),
+        ('{"attest": 5}', "attest: expected an array"),
+        ('{"attest": null}', "attest: expected an array"),
+        ('{"binding": {"IRQ_RAM": {"action": ["x"]}}}', "action: expected a string"),
     ],
 )
 def test_semantic_errors(text, match):
     with pytest.raises(ScenarioSemanticError, match=match):
         parse_scenario(text)
+
+
+TOP_KEYS = ["name", "layout", "key", "golden", "regions", "binding", "pox", "attest", "trace"]
+# Object keys the grammar gives meaning to, so nested values reach the
+# field parsers rather than stopping at "unknown key".
+FIELD_NAMES = [
+    *(kind.value for kind in RegionKind), *(kind.name for kind in ViolationKind),
+    "action", "mask", "image", "reference_digest", "begin_cycle", "end_cycle",
+    "er_min", "er_max", "cycle", "nonce", "region_start", "region_end",
+    "pc", "irq", "ren", "wen", "daddr", "dma_en", "dma_addr", "data",
+]
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(FIELD_NAMES) | st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(key=st.sampled_from(TOP_KEYS), value=JSON_VALUES)
+@settings(max_examples=200)
+def test_any_json_value_under_a_top_level_key_fails_cleanly(key, value):
+    try:
+        parse_scenario(json.dumps({key: value}))
+    except ScenarioError:
+        pass
 
 
 def test_attest_bounds_must_share_a_region():
