@@ -155,6 +155,19 @@ def _parse_addr(value, where: str) -> int:
     return addr
 
 
+def _parse_byte(value, where: str) -> int:
+    if isinstance(value, str):
+        try:
+            value = int(value, 0)
+        except ValueError:
+            raise ScenarioSemanticError(f"{where}: bad byte {value!r}") from None
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioSemanticError(f"{where}: expected a byte")
+    if not 0 <= value <= 0xFF:
+        raise ScenarioSemanticError(f"{where}: byte value out of range")
+    return value
+
+
 def _parse_hex(value, where: str) -> bytes:
     if not isinstance(value, str):
         raise ScenarioSemanticError(f"{where}: expected a hex string")
@@ -382,9 +395,7 @@ def parse_scenario(text: str) -> Scenario:
             )
         except ValueError as exc:
             raise ScenarioSemanticError(f"{where}: {exc}") from None
-        data = _parse_addr(tobj.get("data", 0), f"{where}.data")
-        if data > 0xFF:
-            raise ScenarioSemanticError(f"{where}.data: byte value out of range")
+        data = _parse_byte(tobj.get("data", 0), f"{where}.data")
         trace.append(TraceStep(cycle=cycle, event=event, data=data))
 
     return Scenario(
@@ -460,11 +471,12 @@ class RunReport:
     final_digests: dict[str, str] = field(default_factory=dict)
     exit_class: str = "clean"  # clean | violations | unrecoverable
 
-    def to_dict(self) -> dict:
+    def _fields(self, rows) -> dict:
+        """The report sections of `to_dict`, with the caller's `rows` value."""
         return {
             "scenario": self.scenario_name,
             "boot": _boot_to_dict(self.boot),
-            "rows": [_row_to_dict(r) for r in self.rows],
+            "rows": rows,
             "recovery_events": [
                 {
                     "after_cycle": ev.after_cycle,
@@ -496,9 +508,26 @@ class RunReport:
             "exit": self.exit_class,
         }
 
+    def to_dict(self) -> dict:
+        return self._fields([_row_to_dict(r) for r in self.rows])
+
     def to_json(self) -> str:
-        """Machine form; byte-identical across repeated runs."""
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
+        """Machine form; byte-identical across repeated runs.
+
+        Equal to ``json.dumps(self.to_dict(), sort_keys=True, indent=2) +
+        "\\n"``, but the rows are written straight from the CycleRow objects
+        by `_row_json` rather than built as dicts; the other sections go
+        through `json.dumps`, indented one level.
+        """
+        fields = self._fields(None)
+        parts = []
+        for key in sorted(fields):
+            if key == "rows":
+                text = _rows_json(self.rows)
+            else:
+                text = json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", "\n  ")
+            parts.append(f'  "{key}": {text}')
+        return "{\n" + ",\n".join(parts) + "\n}\n"
 
     def to_text(self, show_pre_clear: bool = False) -> str:
         lines = [f"scenario: {self.scenario_name}"]
@@ -578,6 +607,77 @@ def _row_to_dict(row: CycleRow) -> dict:
         ],
         "mem_effect": row.mem_effect,
     }
+
+
+_JSON_BOOL = ("false", "true")
+
+
+def _json_names(names: list[str], indent: str) -> str:
+    """A list of plain-ASCII strings as `json.dumps(indent=2)` writes it when
+    the list's own line is indented by `indent`."""
+    if not names:
+        return "[]"
+    items = ",\n".join(f'{indent}  "{name}"' for name in names)
+    return f"[\n{items}\n{indent}]"
+
+
+def _row_json(row: CycleRow, ctrl_bits: str) -> str:
+    """One row exactly as `json.dumps(_row_to_dict(row), sort_keys=True,
+    indent=2)` writes it as an element of the top-level "rows" list.
+
+    Every value is a number, a boolean or a string from a fixed ASCII
+    vocabulary (hex words, enum names, action labels, write outcomes), so
+    nothing needs escaping.  `ctrl_bits` is the encoded `decode_bits` list,
+    which the caller computes once per register value.
+    """
+    ev = row.event
+    if row.actions:
+        items = ",\n".join(
+            "        {\n"
+            f'          "action": "{rec.action.label()}",\n'
+            f'          "applied": {_JSON_BOOL[rec.applied]},\n'
+            f'          "violation": "{rec.violation.name}"\n'
+            "        }"
+            for rec in row.actions
+        )
+        actions = f"[\n{items}\n      ]"
+    else:
+        actions = "[]"
+    violations = _json_names([v.name for v in row.violations], "      ")
+    return (
+        "    {\n"
+        f'      "actions": {actions},\n'
+        f'      "ctrl": "0x{row.ctrl_after:04X}",\n'
+        f'      "ctrl_bits": {ctrl_bits},\n'
+        f'      "cycle": {row.cycle},\n'
+        '      "event": {\n'
+        f'        "daddr": "0x{ev.daddr:04X}",\n'
+        f'        "data": "0x{row.data:02X}",\n'
+        f'        "dma_addr": "0x{ev.dma_addr:04X}",\n'
+        f'        "dma_en": {_JSON_BOOL[ev.dma_en]},\n'
+        f'        "irq": {_JSON_BOOL[ev.irq]},\n'
+        f'        "pc": "0x{ev.pc:04X}",\n'
+        f'        "ren": {_JSON_BOOL[ev.ren]},\n'
+        f'        "wen": {_JSON_BOOL[ev.wen]}\n'
+        "      },\n"
+        f'      "mem_effect": "{row.mem_effect}",\n'
+        f'      "violations": {violations}\n'
+        "    }"
+    )
+
+
+def _rows_json(rows: list[CycleRow]) -> str:
+    """The "rows" list, indented as the value of a top-level key."""
+    if not rows:
+        return "[]"
+    ctrl_bits: dict[int, str] = {}
+    parts = []
+    for row in rows:
+        bits = ctrl_bits.get(row.ctrl_after)
+        if bits is None:
+            bits = ctrl_bits[row.ctrl_after] = _json_names(decode_bits(row.ctrl_after), "      ")
+        parts.append(_row_json(row, bits))
+    return "[\n" + ",\n".join(parts) + "\n  ]"
 
 
 def _row_to_text(row: CycleRow) -> str:

@@ -1,7 +1,6 @@
 """Keyed digest, proof-of-execution windows, reports, and wire framing."""
 
 import hashlib
-import hmac as stdlib_hmac
 import io
 
 import pytest
@@ -74,10 +73,24 @@ def test_keyed_digest_known_answers(key, msg, expected):
     assert hmac_sha256(key, msg).hex() == expected
 
 
-@given(key=st.binary(max_size=160), msg=st.binary(max_size=300))
+def rfc2104_hmac_sha256(key: bytes, msg: bytes) -> bytes:
+    """HMAC-SHA256 built from the hash alone (RFC 2104), independent of `hmac`."""
+    block = 64
+    if len(key) > block:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(block, b"\x00")
+    inner = hashlib.sha256(bytes(b ^ 0x36 for b in key) + msg).digest()
+    return hashlib.sha256(bytes(b ^ 0x5C for b in key) + inner).digest()
+
+
+# keys on both sides of the 64-byte block, so the hash-the-key branch runs too
+@given(
+    key=st.binary(max_size=64) | st.binary(min_size=65, max_size=160),
+    msg=st.binary(max_size=300),
+)
 @settings(max_examples=300)
-def test_keyed_digest_matches_stdlib(key, msg):
-    assert hmac_sha256(key, msg) == stdlib_hmac.new(key, msg, hashlib.sha256).digest()
+def test_keyed_digest_matches_rfc2104_construction(key, msg):
+    assert hmac_sha256(key, msg) == rfc2104_hmac_sha256(key, msg)
 
 
 # -- proof of execution -----------------------------------------------------

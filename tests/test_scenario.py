@@ -4,7 +4,7 @@ import hashlib
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_KEY, scenario_paths
@@ -89,6 +89,9 @@ def test_bad_json_reports_position():
         ('{"attest": 5}', "attest: expected an array"),
         ('{"attest": null}', "attest: expected an array"),
         ('{"binding": {"IRQ_RAM": {"action": ["x"]}}}', "action: expected a string"),
+        ('{"trace": [{"cycle": 1, "data": "0x1FFFF"}]}',
+         r"trace\[0\]\.data: byte value out of range"),
+        ('{"trace": [{"cycle": 1, "data": true}]}', r"trace\[0\]\.data: expected a byte"),
     ],
 )
 def test_semantic_errors(text, match):
@@ -405,3 +408,79 @@ def test_run_pre_clear_snapshot_matches_naive_word(trace):
     assert report.pre_clear_ctrl & DETECT_MASK == classify_trace_naive(
         scenario.layout, trace
     )
+
+
+# -- JSON report writer ---------------------------------------------------------
+
+
+def assert_json_matches_stdlib(report):
+    assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("path", scenario_paths(), ids=lambda p: p.name)
+def test_to_json_matches_stdlib_encoder_on_corpus(path):
+    assert_json_matches_stdlib(run(parse_scenario_file(path)))
+
+
+_ACTION_ENTRIES = st.sampled_from(
+    ["none", "soft_mode_switch", "hard_cpu_off", "chip_gate_and_recover", "system_reset"]
+) | st.builds(
+    lambda mask: {"action": "soft_mode_switch", "mask": mask}, st.integers(0, 0xFFFF)
+)
+_NAME_CHARS = st.sampled_from('"\\\x00\x07\n\t\x1f\x7f/é☃\U0001d11e') | st.characters()
+# (start, end) pairs that each lie inside one mapped region
+_ATTEST_SPANS = st.sampled_from(
+    [(0x0200, 0x0AFF), (0x0B00, 0x0B3F), (0x4000, 0x40FF), (0x6000, 0x6000),
+     (0x6A00, 0x6A1F), (0x7000, 0x77FF), (0xE000, 0xE7FF)]
+)
+
+
+@st.composite
+def scenario_docs(draw):
+    """Scenario documents over every region, context, action and boot path."""
+    trace, cycle = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        cycle += draw(st.integers(1, 3))
+        op = draw(st.sampled_from(["idle", "ren", "wen"]))
+        trace.append({
+            "cycle": cycle, "pc": draw(_addr_pool), "irq": draw(st.booleans()),
+            "ren": op == "ren", "wen": op == "wen", "daddr": draw(_addr_pool),
+            "dma_en": draw(st.booleans()), "dma_addr": draw(_addr_pool),
+            "data": draw(st.integers(0, 0xFF)),
+        })
+    doc = {
+        "name": draw(st.text(_NAME_CHARS, max_size=12)),
+        "binding": draw(st.dictionaries(
+            st.sampled_from([kind.name for kind in ViolationKind]), _ACTION_ENTRIES, max_size=10
+        )),
+        "attest": [
+            {"cycle": draw(st.integers(1, cycle + 3)),
+             "nonce": draw(st.binary(min_size=32, max_size=32)).hex(),
+             "region_start": start, "region_end": end}
+            for start, end in draw(st.lists(_ATTEST_SPANS, max_size=3))
+        ],
+        "trace": trace,
+    }
+    flash = draw(st.sampled_from(["clean", "tampered", "unrecoverable"]))
+    if flash != "clean":
+        doc["golden"] = {"image": "1122"}
+        doc["regions"] = {"flash": "ff22"}
+    if flash == "unrecoverable":
+        doc["golden"]["reference_digest"] = "ee" * 32
+    if draw(st.booleans()):
+        begin = draw(st.integers(1, cycle + 2))
+        doc["pox"] = {"begin_cycle": begin, "end_cycle": begin + draw(st.integers(0, 6)),
+                      "er_min": "0x4000", "er_max": "0x40FF"}
+    return doc
+
+
+@given(doc=scenario_docs())
+@example(doc={})  # empty trace
+@example(doc={  # two actions in one row; the reset's recovery event carries a reboot
+    "name": 'tab\t "quote" back\\slash é',
+    "binding": {"CPU_RAM_RD": {"action": "soft_mode_switch", "mask": 4}},
+    "trace": [{"cycle": 1, "pc": "0x6000", "irq": True, "ren": True, "daddr": "0x4000"}],
+})
+@settings(max_examples=200, deadline=None)
+def test_to_json_matches_stdlib_encoder_on_generated_scenarios(doc):
+    assert_json_matches_stdlib(run(parse_scenario(json.dumps(doc))))
