@@ -80,7 +80,6 @@ def pox_begin(state: DeviceState, er_min: int, er_max: int) -> DeviceState:
     em.er_max = er_max
     em.armed = True
     em.window_clean = True
-    state.sync_metadata()
     return state
 
 
@@ -103,7 +102,11 @@ def pox_observe(
 
 
 def pox_end(state: DeviceState) -> DeviceState:
-    """Close the window; the exec flag becomes the window's verdict."""
+    """Close the window; the exec flag becomes the window's verdict.
+
+    Also renders the metadata view, so ``state.mem`` holds the closed
+    window's header for readers that bypass the read accessors.
+    """
     em = state.exec_meta
     if not em.armed:
         return state
@@ -119,7 +122,6 @@ def pox_abort(state: DeviceState) -> DeviceState:
     em.armed = False
     em.window_clean = False
     em.exec_flag = False
-    state.sync_metadata()
     return state
 
 

@@ -215,7 +215,6 @@ def step(state: DeviceState, event: AccessEvent) -> set[ViolationKind]:
     state.ctrl.latch(violations_mask(violations))
     state.cycle += 1
     pox_observe(state, event, violations)
-    state.sync_metadata()
     return violations
 
 

@@ -3,8 +3,9 @@
 A 16-bit flat address space split into seven regions (boot ROM, key ROM,
 recovery ROM, flash, application RAM, reserved stack, metadata).  Region
 bounds are configuration, not constants; :data:`DEFAULT_REGIONS` is one
-workable arrangement.  The three ROM kinds are never writable through
-simulated accesses.
+workable arrangement.  The three ROM kinds and the metadata region are
+never writable through simulated accesses; the metadata region is a
+read-only view of state that :class:`DeviceState` owns.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ DIGEST_SIZE = 32
 
 # Metadata region byte offsets.  The first two bytes hold the detection
 # register image (little-endian); the flash reference digest and the
-# proof-of-execution bookkeeping are mirrored after it when the region
-# is large enough to hold them.
+# proof-of-execution window (er_min, er_max little-endian, exec flag) follow
+# when the region is large enough to hold them.  These header bytes of
+# mem[METADATA] are rendered by the read accessors; code that reads
+# ``state.mem`` directly calls ``sync_metadata`` first.
 META_CTRL_OFF = 0
 META_DIGEST_OFF = 2
 META_EXEC_OFF = META_DIGEST_OFF + DIGEST_SIZE
@@ -179,6 +182,11 @@ class ExecMetadata:
 class DeviceState:
     """One device's memories, detection register, and prevention latches.
 
+    The register, the reference digest and the exec metadata are owned here;
+    the header of ``mem[METADATA]`` is only their rendering, written by
+    `sync_metadata` when `read_byte`, `region_bytes` or `region_digests`
+    reads it.  Code that reads ``mem`` directly calls `sync_metadata` first.
+
     Single-threaded during a run; independent instances may run in parallel.
     """
 
@@ -212,8 +220,8 @@ class DeviceState:
     def provision_golden(self, golden: GoldenImage) -> None:
         """Install the recovery image and its reference digest.
 
-        The image bytes live in the recovery ROM; the digest is held in the
-        metadata region when it fits (the field below stays authoritative).
+        The image bytes live in the recovery ROM; the digest is kept in
+        `reference_digest`, which the metadata view renders when it fits.
         """
         flash_size = self.layout.region(RegionKind.FLASH).size
         if len(golden.image) != flash_size:
@@ -227,7 +235,6 @@ class DeviceState:
         if len(golden.reference_digest) != DIGEST_SIZE:
             raise ValueError("reference digest must be 32 bytes")
         self.reference_digest = bytes(golden.reference_digest)
-        self.sync_metadata()
 
     # -- accessors ----------------------------------------------------
 
@@ -237,18 +244,13 @@ class DeviceState:
     def flash_bytes(self) -> bytes:
         return bytes(self.mem[RegionKind.FLASH])
 
-    def golden_image(self) -> GoldenImage:
-        flash_size = self.layout.region(RegionKind.FLASH).size
-        return GoldenImage(
-            image=bytes(self.mem[RegionKind.RECOVERY_ROM][:flash_size]),
-            reference_digest=self.reference_digest,
-        )
-
     def read_byte(self, addr: int) -> int:
         """Bus read; gap addresses read as 0x00."""
         kind = self.layout.classify(addr)
         if kind is None:
             return 0x00
+        if kind is RegionKind.METADATA:
+            self.sync_metadata()
         region = self.layout.region(kind)
         return self.mem[kind][addr - region.start]
 
@@ -257,18 +259,22 @@ class DeviceState:
         region = self.layout.span(start, end)
         if region is None:
             raise ValueError(f"range 0x{start:04X}-0x{end:04X} not within one region")
+        if region.kind is RegionKind.METADATA:
+            self.sync_metadata()
         return bytes(self.mem[region.kind][start - region.start:end - region.start + 1])
 
     def region_digests(self) -> dict[str, str]:
+        self.sync_metadata()
         return {
             kind.value: hashlib.sha256(bytes(buf)).hexdigest()
             for kind, buf in sorted(self.mem.items(), key=lambda kv: kv[0].value)
         }
 
-    # -- metadata mirror ----------------------------------------------
+    # -- metadata view ------------------------------------------------
 
     def sync_metadata(self) -> None:
-        """Refresh the metadata-resident images (register, digest, exec state)."""
+        """Render the metadata header (register, digest, exec state) into
+        ``mem[METADATA]``, writing only the fields that fit the region."""
         meta = self.mem[RegionKind.METADATA]
         value = self.ctrl.value
         meta[META_CTRL_OFF] = value & 0xFF
@@ -288,15 +294,15 @@ def apply_write(state: DeviceState, addr: int, byte: int) -> WriteResult:
     """Store one byte through the memory backbone.
 
     Suppressed (memory untouched) while the chip-enable gate is raised or
-    when the target is any ROM kind.  Raises UnmappedAddressError for gap
-    addresses.
+    when the target is a ROM kind or the metadata view.  Raises
+    UnmappedAddressError for gap addresses.
     """
     if not 0 <= byte <= 0xFF:
         raise ValueError(f"byte value {byte!r} out of range")
     kind = state.layout.classify(addr)
     if kind is None:
         raise UnmappedAddressError(f"0x{addr:04X}")
-    if state.chip_gate_active or kind in ROM_KINDS:
+    if state.chip_gate_active or kind in ROM_KINDS or kind is RegionKind.METADATA:
         return WriteResult.SUPPRESSED
     region = state.layout.region(kind)
     state.mem[kind][addr - region.start] = byte

@@ -170,5 +170,4 @@ def apply_prevention(
     elif strongest is ActionKind.SYSTEM_RESET:
         state.reset_pending = True
         state.ctrl.latch(RESET_MASK)
-        state.sync_metadata()
     return records

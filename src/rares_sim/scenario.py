@@ -57,7 +57,7 @@ from .attestation import (
     pox_begin,
     pox_end,
 )
-from .detector import AccessEvent, ViolationKind, decode_bits, violations_mask
+from .detector import AccessEvent, ViolationKind, decode_bits
 from .memory import (
     DEFAULT_REGIONS,
     DIGEST_SIZE,
@@ -151,7 +151,10 @@ def _parse_addr(value, where: str) -> int:
     else:
         raise ScenarioSemanticError(f"{where}: bad address {value!r}")
     if not 0 <= addr <= 0xFFFF:
-        raise ScenarioSemanticError(f"{where}: address 0x{addr:X} outside 16-bit space")
+        sign = "-" if addr < 0 else ""
+        raise ScenarioSemanticError(
+            f"{where}: address {sign}0x{abs(addr):X} outside 16-bit space"
+        )
     return addr
 
 
@@ -425,7 +428,6 @@ def build_device(scenario: Scenario) -> DeviceState:
     state.provision_golden(scenario.golden)
     for kind, data in scenario.region_contents.items():
         state.set_region_bytes(kind, data)
-    state.sync_metadata()
     return state
 
 
@@ -536,22 +538,18 @@ class RunReport:
         for computed, reference in boot.digests:
             lines.append(f"  digest computed={computed.hex()} reference={reference.hex()}")
         boundary = {ev.after_cycle: ev for ev in self.recovery_events}
-        answers = {}
-        for ans in self.attest_answers:
-            answers.setdefault(ans.cycle, []).append(ans)
         for row in self.rows:
             lines.append(_row_to_text(row))
             ev = boundary.get(row.cycle)
             if ev is not None:
                 tail = f" -> boot {ev.boot.outcome.value}" if ev.boot else ""
                 lines.append(f"  [boundary {row.cycle}] {ev.kind}{tail}")
-        for ans_list in answers.values():
-            for ans in ans_list:
-                r = ans.report
-                lines.append(
-                    f"attest @ cycle {ans.cycle}: exec_flag={str(r.exec_flag).lower()} "
-                    f"er=0x{r.er_min:04X}-0x{r.er_max:04X} tag={r.tag.hex()}"
-                )
+        for ans in self.attest_answers:
+            r = ans.report
+            lines.append(
+                f"attest @ cycle {ans.cycle}: exec_flag={str(r.exec_flag).lower()} "
+                f"er=0x{r.er_min:04X}-0x{r.er_max:04X} tag={r.tag.hex()}"
+            )
         if show_pre_clear:
             lines.append(
                 f"pre-clear ctrl: 0x{self.pre_clear_ctrl:04X} "
@@ -718,8 +716,7 @@ def run(scenario: Scenario) -> RunReport:
         return report
 
     pox = scenario.pox
-    pox_armed = False
-    pox_done = pox is None
+    pox_begun = False
     pending = scenario.attest_requests
     next_attest = 0
     halted_for_good = False
@@ -736,19 +733,19 @@ def run(scenario: Scenario) -> RunReport:
 
     for step_rec in scenario.trace:
         label = step_rec.cycle
-        if not pox_done and not pox_armed and label >= pox.begin_cycle:
+        if pox is not None and not pox_begun and label >= pox.begin_cycle:
             pox_begin(state, pox.er_min, pox.er_max)
-            pox_armed = True
+            pox_begun = True
             if label > pox.end_cycle:  # window fell entirely inside a gap
                 pox_end(state)
-                pox_done = True
 
         # idle gap cycles carry no bus activity; land the step on its label
         state.cycle = label - 1
         violations = det.step(state, step_rec.event)
-        report.pre_clear_ctrl |= violations_mask(violations)
         actions = apply_prevention(state, violations, scenario.binding)
-        report.pre_clear_ctrl |= state.ctrl.value & det.RESET_MASK
+        # bits are sticky and clear only at the cycle boundary, so the
+        # register now holds every bit latched since the last clear
+        report.pre_clear_ctrl |= state.ctrl.value
 
         mem_effect = "none"
         if step_rec.event.wen:
@@ -773,9 +770,8 @@ def run(scenario: Scenario) -> RunReport:
             )
         )
 
-        if not pox_done and pox_armed and label >= pox.end_cycle:
+        if state.exec_meta.armed and label >= pox.end_cycle:
             pox_end(state)
-            pox_done = True
 
         answer_due(label)
 
@@ -793,10 +789,9 @@ def run(scenario: Scenario) -> RunReport:
                 break
 
     if not halted_for_good:
-        if not pox_done:
-            if not pox_armed:
-                pox_begin(state, pox.er_min, pox.er_max)
-            pox_end(state)
+        if pox is not None and not pox_begun:
+            pox_begin(state, pox.er_min, pox.er_max)
+        pox_end(state)
         answer_due(math.inf)
         violated = bool(report.pre_clear_ctrl & det.DETECT_MASK)
         report.exit_class = "violations" if violated else "clean"
@@ -814,7 +809,6 @@ def _service_reset(state: DeviceState) -> BootReport:
     state.recovery_queued = False
     state.reset_pending = False
     state.r2 = ModeRegister()
-    state.sync_metadata()
     return fsbl_boot(state)
 
 

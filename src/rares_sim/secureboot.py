@@ -49,7 +49,6 @@ def reflash(state: DeviceState) -> DeviceState:
     state.chip_gate_active = False
     state.cpu_halted = False
     state.recovery_queued = False
-    state.sync_metadata()
     return state
 
 

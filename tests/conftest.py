@@ -30,7 +30,6 @@ def make_state(layout):
             reference = hmac_sha256(key, image)
         state.provision_golden(GoldenImage(image=image, reference_digest=reference))
         state.set_region_bytes(RegionKind.FLASH, flash if flash is not None else image)
-        state.sync_metadata()
         return state
 
     return make

@@ -28,6 +28,7 @@ from rares_sim.attestation import (
     write_frame,
 )
 from rares_sim.detector import AccessEvent, ViolationKind, step
+from rares_sim.memory import RegionKind
 
 NONCE = bytes.fromhex("00112233445566778899aabbccddeeff" * 2)
 
@@ -162,6 +163,17 @@ def test_abort_kills_window_and_proof(state):
     assert state.exec_meta.armed is False
     pox_end(state)  # closing a dead window changes nothing
     assert state.exec_meta.exec_flag is False
+
+
+def test_pox_end_leaves_the_metadata_view_rendered_in_memory(state):
+    # readers of state.mem after a closed window (the benchmark's oracle)
+    # rely on pox_end rendering the header; no read accessor runs here
+    step(state, AccessEvent(pc=0x4000, ren=True, daddr=0x6A00))  # latches D9
+    run_window(state, [AccessEvent(pc=0x4000)])
+    meta = state.layout.region(RegionKind.METADATA)
+    direct = bytes(state.mem[RegionKind.METADATA])
+    assert direct == state.region_bytes(meta.start, meta.end)
+    assert direct[:2] == b"\x00\x02" and direct[38] == 1
 
 
 def test_observer_is_inert_when_disarmed(state):

@@ -4,6 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rares_sim.attestation import (
+    AttestRequest,
+    attest,
+    hmac_sha256,
+    pox_begin,
+    pox_end,
+    verify_report,
+)
+from rares_sim.detector import AccessEvent, step
 from rares_sim.memory import (
     DEFAULT_REGIONS,
     DeviceState,
@@ -21,6 +30,8 @@ from rares_sim.memory import (
     apply_write,
     build_layout,
 )
+from rares_sim.prevention import apply_prevention, default_binding
+from rares_sim.secureboot import reflash
 
 
 def classify_linear(regions, addr):
@@ -236,6 +247,70 @@ def test_metadata_mirrors_register_and_digest(state):
     meta = state.mem[RegionKind.METADATA]
     assert meta[0] == 0x04 and meta[1] == 0x02  # little-endian image
     assert bytes(meta[2:34]) == state.reference_digest
+
+
+def expected_metadata(state, size):
+    """The metadata view built field by field: register (2 LE), reference
+    digest, er_min/er_max (2 LE each), exec byte; a field that does not fit
+    the region is left out, and the bytes after the header stay zero."""
+    em = state.exec_meta
+    fields = [
+        state.ctrl.value.to_bytes(2, "little"),
+        state.reference_digest,
+        em.er_min.to_bytes(2, "little") + em.er_max.to_bytes(2, "little")
+        + bytes([em.exec_flag]),
+    ]
+    header = b""
+    for field in fields:
+        if len(header) + len(field) > size:
+            break
+        header += field
+    return header + bytes(size - len(header))
+
+
+# Each reader must render on its own, so a test reads with only one of them.
+METADATA_READERS = {
+    "region_bytes": lambda state, meta: state.region_bytes(meta.start, meta.end),
+    "read_byte": lambda state, meta: bytes(
+        map(state.read_byte, range(meta.start, meta.end + 1))
+    ),
+}
+
+
+@pytest.mark.parametrize("reader", METADATA_READERS)
+@pytest.mark.parametrize("meta_size", [2, 34, 36, 64])
+def test_metadata_view_is_rendered_on_read(meta_size, reader):
+    meta_end = 0x0B00 + meta_size - 1
+    layout = build_layout(
+        [(k, s, meta_end if k is RegionKind.METADATA else e) for k, s, e in DEFAULT_REGIONS]
+    )
+    meta = layout.region(RegionKind.METADATA)
+    key = bytes(range(32))
+    image = bytes(layout.region(RegionKind.FLASH).size)
+    state = DeviceState(layout)
+    state.set_region_bytes(RegionKind.KEY_ROM, key)
+    state.provision_golden(GoldenImage(image=image, reference_digest=hmac_sha256(key, image)))
+
+    def check():
+        expected = expected_metadata(state, meta.size)
+        assert METADATA_READERS[reader](state, meta) == expected
+        req = AttestRequest(nonce=b"\x5a" * 32, region_start=meta.start, region_end=meta.end)
+        assert verify_report(key, req, attest(state, req), expected)
+
+    violations = step(state, AccessEvent(pc=0x4000, irq=True))  # latches D0
+    assert state.ctrl.value == 0x0001
+    check()
+    apply_prevention(state, violations, default_binding())  # system reset sets D10
+    assert state.ctrl.value == 0x0401
+    check()
+    pox_begin(state, 0x4000, 0x40FF)
+    check()
+    pox_end(state)
+    assert state.exec_meta.exec_flag
+    check()
+    reflash(state)  # clears D0-D9, keeps D10
+    assert state.ctrl.value == 0x0400
+    check()
 
 
 def test_region_sizes():

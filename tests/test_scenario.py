@@ -92,6 +92,10 @@ def test_bad_json_reports_position():
         ('{"trace": [{"cycle": 1, "data": "0x1FFFF"}]}',
          r"trace\[0\]\.data: byte value out of range"),
         ('{"trace": [{"cycle": 1, "data": true}]}', r"trace\[0\]\.data: expected a byte"),
+        ('{"trace": [{"cycle": 1, "pc": -1}]}',
+         r"trace\[0\]\.pc: address -0x1 outside 16-bit space"),
+        ('{"trace": [{"cycle": 1, "pc": "-0x1"}]}',
+         r"trace\[0\]\.pc: address -0x1 outside 16-bit space"),
     ],
 )
 def test_semantic_errors(text, match):
@@ -337,6 +341,19 @@ def test_reset_aborts_open_pox_window():
     )
     report = run(scenario)
     assert report.attest_answers[0].report.exec_flag is False
+
+
+def test_bus_writes_to_the_metadata_view_are_suppressed():
+    def scenario(wen):
+        """A CPU write to 0x0B00 and a DMA write to 0x0B01 from app context
+        (or, without wen, the same two cycles with no write)."""
+        cpu = AccessEvent(pc=0x4000, wen=wen, daddr=0x0B00)
+        dma = AccessEvent(pc=0x4000, wen=wen, dma_en=True, dma_addr=0x0B01)
+        return make_scenario([], trace=[TraceStep(1, cpu, 0xFF), TraceStep(2, dma, 0xFF)])
+
+    report = run(scenario(True))
+    assert [row.mem_effect for row in report.rows] == ["suppressed", "suppressed"]
+    assert report.final_digests["metadata"] == run(scenario(False)).final_digests["metadata"]
 
 
 def test_cycle_labels_drive_the_device_clock():
