@@ -32,7 +32,7 @@ from typing import TYPE_CHECKING, BinaryIO
 from .memory import DeviceState, MemoryLayout, RegionKind
 
 if TYPE_CHECKING:
-    from .detector import AccessEvent, ViolationKind
+    from .detector import AccessEvent
 
 NONCE_SIZE = 32
 TAG_SIZE = 32
@@ -83,10 +83,9 @@ def pox_begin(state: DeviceState, er_min: int, er_max: int) -> DeviceState:
     return state
 
 
-def pox_observe(
-    state: DeviceState, event: AccessEvent, violations: set[ViolationKind]
-) -> DeviceState:
-    """Watch one cycle of an armed window.
+def pox_observe(state: DeviceState, event: AccessEvent, mask: int) -> DeviceState:
+    """Watch one cycle of an armed window; `mask` holds the cycle's matched
+    detection bits.
 
     Any violation, any interrupt, or any program-counter excursion outside
     the window bounds breaches it: the exec flag drops immediately and stays
@@ -95,7 +94,7 @@ def pox_observe(
     em = state.exec_meta
     if not em.armed:
         return state
-    if violations or event.irq or not em.er_min <= event.pc <= em.er_max:
+    if mask or event.irq or not em.er_min <= event.pc <= em.er_max:
         em.window_clean = False
         em.exec_flag = False
     return state

@@ -37,6 +37,11 @@ Rule table (normative):
 
 "Foreign context" means the program counter is neither in app RAM nor in
 boot ROM.  Stack and boot-ROM reads from app-RAM context are allowed.
+
+The rules read only region kinds, so they are evaluated once, at import,
+into `RULE_MASKS`: one 10-bit mask per (pc kind, target kind, dma_en, wen,
+ren, irq).  A cycle's classification is then one lookup through the
+layout's address index.
 """
 
 from __future__ import annotations
@@ -45,7 +50,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .attestation import pox_observe
-from .memory import ADDR_MASK, DeviceState, MemoryLayout, RegionKind
+from .memory import ADDR_MASK, KIND_BY_CODE, DeviceState, MemoryLayout, RegionKind, addr_text
 
 
 class WriteAccessDenied(PermissionError):
@@ -150,11 +155,10 @@ class AccessEvent:
         for name in ("pc", "daddr", "dma_addr"):
             addr = getattr(self, name)
             if not 0 <= addr <= ADDR_MASK:
-                raise ValueError(f"{name}=0x{addr:X} outside 16-bit space")
+                raise ValueError(f"{name}={addr_text(addr)} outside 16-bit space")
 
 
-def exec_context(layout: MemoryLayout, pc: int) -> ExecContext:
-    kind = layout.classify(pc)
+def _context_of(kind: RegionKind | None) -> ExecContext:
     if kind is RegionKind.APP_RAM:
         return ExecContext.IN_APP
     if kind is RegionKind.BOOT_ROM:
@@ -162,60 +166,113 @@ def exec_context(layout: MemoryLayout, pc: int) -> ExecContext:
     return ExecContext.OTHER
 
 
-# Each bus's (RAM write, RAM read, stack read, ROM read) kinds, indexed by
-# dma_en; every DMA bit is its CPU bit - 4 (D2-D5 vs D6-D9).
-_BUS_KINDS = (
-    (ViolationKind.CPU_RAM_WR, ViolationKind.CPU_RAM_RD,
-     ViolationKind.CPU_STACK_RD, ViolationKind.CPU_ROM_RD),
-    (ViolationKind.DMA_RAM_WR, ViolationKind.DMA_RAM_RD,
-     ViolationKind.DMA_STACK_RD, ViolationKind.DMA_ROM_RD),
-)
+def exec_context(layout: MemoryLayout, pc: int) -> ExecContext:
+    return _context_of(layout.classify(pc))
+
+
+def _irq_mask(ctx: ExecContext) -> int:
+    """R1-R2: the bit an interrupt latches in execution context `ctx`."""
+    if ctx is ExecContext.IN_APP:
+        return ViolationKind.IRQ_RAM.mask
+    if ctx is ExecContext.IN_SW_ATT:
+        return ViolationKind.IRQ_STACK.mask
+    return 0
+
+
+def _cpu_access_mask(ctx: ExecContext, target: RegionKind | None, ren: bool, wen: bool) -> int:
+    """R3-R5: the bits of one CPU access from `ctx` to a `target` kind.
+
+    R6-R8 are the same rules on the DMA bus, whose bits sit 4 lower
+    (D2-D5 against D6-D9).
+    """
+    mask = 0
+    if wen and target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
+        mask |= ViolationKind.CPU_RAM_WR.mask
+    if ren:
+        if target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
+            mask |= ViolationKind.CPU_RAM_RD.mask
+        if target is RegionKind.RESERVED_STACK and ctx is ExecContext.OTHER:
+            mask |= ViolationKind.CPU_STACK_RD.mask
+        if target is RegionKind.KEY_ROM and ctx is not ExecContext.IN_SW_ATT:
+            mask |= ViolationKind.CPU_ROM_RD.mask
+        if target is RegionKind.BOOT_ROM and ctx is ExecContext.OTHER:
+            mask |= ViolationKind.CPU_ROM_RD.mask
+    return mask
+
+
+_DMA_SHIFT = 4
+
+
+def _build_rule_masks() -> tuple[int, ...]:
+    """R1-R8 for every signal combination, in `event_mask`'s index order:
+    pc kind code, target kind code, dma_en, wen, ren, irq (lowest bit)."""
+    by_context: dict[ExecContext, list[int]] = {}
+    for ctx in ExecContext:
+        irq = _irq_mask(ctx)
+        row = by_context[ctx] = []
+        for target in KIND_BY_CODE:
+            for shift in (0, _DMA_SHIFT):
+                for wen in (False, True):
+                    for ren in (False, True):
+                        access = _cpu_access_mask(ctx, target, ren, wen) >> shift
+                        row += (access, access | irq)
+    return tuple(m for pc_kind in KIND_BY_CODE for m in by_context[_context_of(pc_kind)])
+
+
+def _build_mask_kinds() -> tuple[tuple[ViolationKind, ...], ...]:
+    """Each 10-bit mask's kinds in bit order, built by doubling: the masks
+    with bit b set are those below 2**b plus that bit's kind."""
+    table: list[tuple[ViolationKind, ...]] = [()]
+    for kind in ViolationKind:  # declared in bit order
+        table += [kinds + (kind,) for kinds in table]
+    return tuple(table)
+
+
+RULE_MASKS = _build_rule_masks()
+MASK_KINDS = _build_mask_kinds()
+
+
+def event_mask(layout: MemoryLayout, event: AccessEvent) -> int:
+    """The detection bits an event matches: R1-R8 as one table lookup.
+
+    Kind codes take 3 bits (seven kinds and the gap), so the index packs
+    pc code, target code and the four flags into 10 bits.
+    """
+    index = layout.index
+    dma_en = event.dma_en
+    return RULE_MASKS[
+        index[event.pc] << 7
+        | index[event.dma_addr if dma_en else event.daddr] << 4
+        | dma_en << 3
+        | event.wen << 2
+        | event.ren << 1
+        | event.irq
+    ]
 
 
 def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
     """Pure rule-table match; benign events yield the empty set."""
-    out: set[ViolationKind] = set()
-    ctx = exec_context(layout, event.pc)
-    if event.irq:
-        if ctx is ExecContext.IN_APP:
-            out.add(ViolationKind.IRQ_RAM)
-        elif ctx is ExecContext.IN_SW_ATT:
-            out.add(ViolationKind.IRQ_STACK)
-    ram_wr, ram_rd, stack_rd, rom_rd = _BUS_KINDS[event.dma_en]
-    target = layout.classify(event.dma_addr if event.dma_en else event.daddr)
-    if event.wen and target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
-        out.add(ram_wr)
-    if event.ren:
-        if target is RegionKind.APP_RAM and ctx is ExecContext.IN_SW_ATT:
-            out.add(ram_rd)
-        if target is RegionKind.RESERVED_STACK and ctx is ExecContext.OTHER:
-            out.add(stack_rd)
-        if target is RegionKind.KEY_ROM and ctx is not ExecContext.IN_SW_ATT:
-            out.add(rom_rd)
-        if target is RegionKind.BOOT_ROM and ctx is ExecContext.OTHER:
-            out.add(rom_rd)
-    return out
+    return set(MASK_KINDS[event_mask(layout, event)])
 
 
-def violations_mask(violations: set[ViolationKind]) -> int:
-    mask = 0
-    for kind in violations:
-        mask |= kind.mask
+def latch_event(state: DeviceState, event: AccessEvent) -> int:
+    """Advance one machine clock cycle; return the matched mask.
+
+    Latches the matched bits within the same cycle, bumps the cycle counter,
+    and feeds the event to the proof-of-execution observer.
+    """
+    mask = event_mask(state.layout, event)
+    if mask:
+        state.ctrl.latch(mask)
+    state.cycle += 1
+    pox_observe(state, event, mask)
     return mask
 
 
 def step(state: DeviceState, event: AccessEvent) -> set[ViolationKind]:
-    """Advance one machine clock cycle.
-
-    Latches the matched bits within the same cycle, bumps the cycle counter,
-    and feeds the event to the proof-of-execution observer.  Returns the
-    violations matched this cycle (already latched).
-    """
-    violations = classify(state.layout, event)
-    state.ctrl.latch(violations_mask(violations))
-    state.cycle += 1
-    pox_observe(state, event, violations)
-    return violations
+    """`latch_event`, returning the violations matched this cycle (already
+    latched) as a set."""
+    return set(MASK_KINDS[latch_event(state, event)])
 
 
 def software_read_ctrl(state: DeviceState) -> int:

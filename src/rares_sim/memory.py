@@ -11,7 +11,6 @@ read-only view of state that :class:`DeviceState` owns.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -92,29 +91,50 @@ DEFAULT_REGIONS = [
 ]
 
 
+# Region-kind codes of `MemoryLayout.index`: 0 marks a gap, then the kinds
+# in declaration order.  The detector's rule table is indexed by these codes.
+KIND_BY_CODE: tuple[RegionKind | None, ...] = (None, *RegionKind)
+_CODE_BY_KIND = {kind: code for code, kind in enumerate(KIND_BY_CODE) if kind}
+
+
+def addr_text(addr: int) -> str:
+    """An address in hex for messages, with the sign in front: -0x1, 0x10000."""
+    return f"-0x{-addr:X}" if addr < 0 else f"0x{addr:X}"
+
+
 class MemoryLayout:
-    """Validated, non-overlapping region map with total address lookup."""
+    """Validated, non-overlapping region map with total address lookup.
+
+    ``index`` holds one byte per 16-bit address: the code in `KIND_BY_CODE`
+    of the region kind mapped there, 0 in a gap.
+    """
 
     def __init__(self, regions: list[Region]):
         self.regions = sorted(regions, key=lambda r: r.start)
         self._by_kind = {r.kind: r for r in self.regions}
-        self._starts = [r.start for r in self.regions]
+        self._by_code = tuple(self._by_kind.get(kind) for kind in KIND_BY_CODE)
+        index = bytearray(ADDR_MASK + 1)
+        for r in self.regions:
+            index[r.start:r.end + 1] = bytes([_CODE_BY_KIND[r.kind]]) * r.size
+        self.index = bytes(index)
 
     def region(self, kind: RegionKind) -> Region:
         return self._by_kind[kind]
 
     def classify(self, addr: int) -> RegionKind | None:
-        i = bisect_right(self._starts, addr) - 1
-        if i >= 0 and self.regions[i].contains(addr):
-            return self.regions[i].kind
+        if 0 <= addr <= ADDR_MASK:
+            return KIND_BY_CODE[self.index[addr]]
         return None
 
     def span(self, start: int, end: int) -> Region | None:
         """The region holding all of [start, end]; None when the range is
         inverted, starts in a gap, or leaves its region."""
-        i = bisect_right(self._starts, start) - 1
-        if i >= 0 and start <= end <= self.regions[i].end:
-            return self.regions[i]
+        if 0 <= start <= end <= ADDR_MASK:
+            code = self.index[start]
+            # each kind maps one contiguous region, so equal codes at both
+            # ends cover everything between them
+            if code and self.index[end] == code:
+                return self._by_code[code]
         return None
 
 
@@ -299,11 +319,11 @@ def apply_write(state: DeviceState, addr: int, byte: int) -> WriteResult:
     """
     if not 0 <= byte <= 0xFF:
         raise ValueError(f"byte value {byte!r} out of range")
-    kind = state.layout.classify(addr)
-    if kind is None:
+    region = state.layout.span(addr, addr)
+    if region is None:
         raise UnmappedAddressError(f"0x{addr:04X}")
+    kind = region.kind
     if state.chip_gate_active or kind in ROM_KINDS or kind is RegionKind.METADATA:
         return WriteResult.SUPPRESSED
-    region = state.layout.region(kind)
     state.mem[kind][addr - region.start] = byte
     return WriteResult.APPLIED

@@ -17,7 +17,8 @@ Top-level keys (all optional except none):
              to the flash size; digest computed from the image when absent
     regions  {region: hex} initial contents (zero-padded); flash defaults
              to the golden image; key_rom/recovery_rom are provisioned via
-             "key"/"golden" and are rejected here
+             "key"/"golden" and are rejected here, as is metadata, a
+             read-only view of the device state
     binding  {VIOLATION_KIND: action} overrides; actions: none,
              soft_mode_switch (optionally {"action": ..., "mask": hex}),
              hard_cpu_off, chip_gate_and_recover, system_reset
@@ -44,7 +45,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from . import detector as det
 from .attestation import (
     NONCE_SIZE,
     AttestReport,
@@ -57,7 +57,7 @@ from .attestation import (
     pox_begin,
     pox_end,
 )
-from .detector import AccessEvent, ViolationKind, decode_bits
+from .detector import DETECT_MASK, MASK_KINDS, AccessEvent, ViolationKind, decode_bits, latch_event
 from .memory import (
     DEFAULT_REGIONS,
     DIGEST_SIZE,
@@ -68,6 +68,7 @@ from .memory import (
     MemoryLayout,
     RegionKind,
     UnmappedAddressError,
+    addr_text,
     apply_write,
     build_layout,
 )
@@ -151,10 +152,7 @@ def _parse_addr(value, where: str) -> int:
     else:
         raise ScenarioSemanticError(f"{where}: bad address {value!r}")
     if not 0 <= addr <= 0xFFFF:
-        sign = "-" if addr < 0 else ""
-        raise ScenarioSemanticError(
-            f"{where}: address {sign}0x{abs(addr):X} outside 16-bit space"
-        )
+        raise ScenarioSemanticError(f"{where}: address {addr_text(addr)} outside 16-bit space")
     return addr
 
 
@@ -320,6 +318,10 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioSemanticError(
                 f"regions.{rname}: provisioned via 'key'/'golden', not here"
             )
+        if kind is RegionKind.METADATA:
+            raise ScenarioSemanticError(
+                f"regions.{rname}: a read-only view of the device state, not provisioned"
+            )
         size = layout.region(kind).size
         region_contents[kind] = _region_fill(
             _parse_hex(hexstr, f"regions.{rname}"), size, f"regions.{rname}"
@@ -434,7 +436,7 @@ def build_device(scenario: Scenario) -> DeviceState:
 # -- run report ---------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class CycleRow:
     cycle: int
     event: AccessEvent
@@ -519,17 +521,21 @@ class RunReport:
         Equal to ``json.dumps(self.to_dict(), sort_keys=True, indent=2) +
         "\\n"``, but the rows are written straight from the CycleRow objects
         by `_row_json` rather than built as dicts; the other sections go
-        through `json.dumps`, indented one level.
+        through `json.dumps`, indented one level.  Every fragment goes into
+        one list that is joined once, so the text is built without
+        intermediate copies of the rows.
         """
         fields = self._fields(None)
-        parts = []
+        out = ["{\n"]
         for key in sorted(fields):
+            out.append(f'  "{key}": ')
             if key == "rows":
-                text = _rows_json(self.rows)
+                _rows_json(self.rows, out)
             else:
-                text = json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", "\n  ")
-            parts.append(f'  "{key}": {text}')
-        return "{\n" + ",\n".join(parts) + "\n}\n"
+                out.append(json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+            out.append(",\n")
+        out[-1] = "\n}\n"
+        return "".join(out)
 
     def to_text(self, show_pre_clear: bool = False) -> str:
         lines = [f"scenario: {self.scenario_name}"]
@@ -608,6 +614,9 @@ def _row_to_dict(row: CycleRow) -> dict:
 
 
 _JSON_BOOL = ("false", "true")
+# Two upper-case hex digits per byte value: two lookups write a 16-bit word
+# in about half the time of an f-string format spec.
+_HEX_BYTE = tuple(f"{b:02X}" for b in range(256))
 
 
 def _json_names(names: list[str], indent: str) -> str:
@@ -619,16 +628,18 @@ def _json_names(names: list[str], indent: str) -> str:
     return f"[\n{items}\n{indent}]"
 
 
-def _row_json(row: CycleRow, ctrl_bits: str) -> str:
-    """One row exactly as `json.dumps(_row_to_dict(row), sort_keys=True,
-    indent=2)` writes it as an element of the top-level "rows" list.
+def _row_json(row: CycleRow, ctrl: str, sep: str) -> str:
+    """`sep`, then one row exactly as `json.dumps(_row_to_dict(row),
+    sort_keys=True, indent=2)` writes it as an element of the top-level
+    "rows" list.
 
     Every value is a number, a boolean or a string from a fixed ASCII
     vocabulary (hex words, enum names, action labels, write outcomes), so
-    nothing needs escaping.  `ctrl_bits` is the encoded `decode_bits` list,
-    which the caller computes once per register value.
+    nothing needs escaping.  `ctrl` is the encoded "ctrl" value and
+    "ctrl_bits" entry, which the caller computes once per register value.
     """
     ev = row.event
+    pc, daddr, dma_addr = ev.pc, ev.daddr, ev.dma_addr
     if row.actions:
         items = ",\n".join(
             "        {\n"
@@ -641,20 +652,21 @@ def _row_json(row: CycleRow, ctrl_bits: str) -> str:
         actions = f"[\n{items}\n      ]"
     else:
         actions = "[]"
-    violations = _json_names([v.name for v in row.violations], "      ")
+    violations = (
+        _json_names([v.name for v in row.violations], "      ") if row.violations else "[]"
+    )
     return (
-        "    {\n"
+        f"{sep}    {{\n"
         f'      "actions": {actions},\n'
-        f'      "ctrl": "0x{row.ctrl_after:04X}",\n'
-        f'      "ctrl_bits": {ctrl_bits},\n'
+        f'      "ctrl": {ctrl},\n'
         f'      "cycle": {row.cycle},\n'
         '      "event": {\n'
-        f'        "daddr": "0x{ev.daddr:04X}",\n'
-        f'        "data": "0x{row.data:02X}",\n'
-        f'        "dma_addr": "0x{ev.dma_addr:04X}",\n'
+        f'        "daddr": "0x{_HEX_BYTE[daddr >> 8]}{_HEX_BYTE[daddr & 0xFF]}",\n'
+        f'        "data": "0x{_HEX_BYTE[row.data]}",\n'
+        f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}",\n'
         f'        "dma_en": {_JSON_BOOL[ev.dma_en]},\n'
         f'        "irq": {_JSON_BOOL[ev.irq]},\n'
-        f'        "pc": "0x{ev.pc:04X}",\n'
+        f'        "pc": "0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}",\n'
         f'        "ren": {_JSON_BOOL[ev.ren]},\n'
         f'        "wen": {_JSON_BOOL[ev.wen]}\n'
         "      },\n"
@@ -664,18 +676,23 @@ def _row_json(row: CycleRow, ctrl_bits: str) -> str:
     )
 
 
-def _rows_json(rows: list[CycleRow]) -> str:
-    """The "rows" list, indented as the value of a top-level key."""
+def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
+    """Append the "rows" list to `out`, indented as the value of a top-level
+    key."""
     if not rows:
-        return "[]"
-    ctrl_bits: dict[int, str] = {}
-    parts = []
+        out.append("[]")
+        return
+    ctrl_texts: dict[int, str] = {}
+    sep = "[\n"
     for row in rows:
-        bits = ctrl_bits.get(row.ctrl_after)
-        if bits is None:
-            bits = ctrl_bits[row.ctrl_after] = _json_names(decode_bits(row.ctrl_after), "      ")
-        parts.append(_row_json(row, bits))
-    return "[\n" + ",\n".join(parts) + "\n  ]"
+        value = row.ctrl_after
+        ctrl = ctrl_texts.get(value)
+        if ctrl is None:
+            bits = _json_names(decode_bits(value), "      ")
+            ctrl = ctrl_texts[value] = f'"0x{value:04X}",\n      "ctrl_bits": {bits}'
+        out.append(_row_json(row, ctrl, sep))
+        sep = ",\n"
+    out.append("\n  ]")
 
 
 def _row_to_text(row: CycleRow) -> str:
@@ -717,12 +734,19 @@ def run(scenario: Scenario) -> RunReport:
 
     pox = scenario.pox
     pox_begun = False
+    pox_end_cycle = pox.end_cycle if pox is not None else math.inf
     pending = scenario.attest_requests
     next_attest = 0
+    next_due = pending[0].cycle if pending else math.inf
     halted_for_good = False
+    binding = scenario.binding
+    ctrl = state.ctrl
+    rows = report.rows
+    pre_clear = 0
 
-    def answer_due(last_cycle: float) -> None:
-        """Answer every pending challenge due by last_cycle, in order."""
+    def answer_due(last_cycle: float) -> float:
+        """Answer every pending challenge due by last_cycle, in order;
+        return the cycle the next one is due."""
         nonlocal next_attest
         while next_attest < len(pending) and pending[next_attest].cycle <= last_cycle:
             entry = pending[next_attest]
@@ -730,9 +754,11 @@ def run(scenario: Scenario) -> RunReport:
             report.attest_answers.append(
                 AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
             )
+        return pending[next_attest].cycle if next_attest < len(pending) else math.inf
 
     for step_rec in scenario.trace:
         label = step_rec.cycle
+        event = step_rec.event
         if pox is not None and not pox_begun and label >= pox.begin_cycle:
             pox_begin(state, pox.er_min, pox.er_max)
             pox_begun = True
@@ -741,39 +767,37 @@ def run(scenario: Scenario) -> RunReport:
 
         # idle gap cycles carry no bus activity; land the step on its label
         state.cycle = label - 1
-        violations = det.step(state, step_rec.event)
-        actions = apply_prevention(state, violations, scenario.binding)
+        mask = latch_event(state, event)
+        if mask:
+            kinds = MASK_KINDS[mask]
+            violations, actions = list(kinds), apply_prevention(state, kinds, binding)
+        else:
+            violations, actions = [], []
         # bits are sticky and clear only at the cycle boundary, so the
         # register now holds every bit latched since the last clear
-        report.pre_clear_ctrl |= state.ctrl.value
+        ctrl_after = ctrl.value
+        pre_clear |= ctrl_after
 
         mem_effect = "none"
-        if step_rec.event.wen:
-            if state.cpu_halted and not step_rec.event.dma_en:
+        if event.wen:
+            if state.cpu_halted and not event.dma_en:
                 mem_effect = "suppressed"
             else:
-                target = step_rec.event.dma_addr if step_rec.event.dma_en else step_rec.event.daddr
+                target = event.dma_addr if event.dma_en else event.daddr
                 try:
                     mem_effect = apply_write(state, target, step_rec.data).value
                 except UnmappedAddressError:
                     mem_effect = "unmapped"
 
-        report.rows.append(
-            CycleRow(
-                cycle=label,
-                event=step_rec.event,
-                data=step_rec.data,
-                violations=sorted(violations, key=lambda v: v.bit),
-                ctrl_after=state.ctrl.value,
-                actions=actions,
-                mem_effect=mem_effect,
-            )
+        rows.append(
+            CycleRow(label, event, step_rec.data, violations, ctrl_after, actions, mem_effect)
         )
 
-        if state.exec_meta.armed and label >= pox.end_cycle:
+        if label >= pox_end_cycle and state.exec_meta.armed:
             pox_end(state)
 
-        answer_due(label)
+        if label >= next_due:
+            next_due = answer_due(label)
 
         if state.recovery_queued:
             reflash(state)
@@ -788,13 +812,13 @@ def run(scenario: Scenario) -> RunReport:
                 halted_for_good = True
                 break
 
+    report.pre_clear_ctrl = pre_clear
     if not halted_for_good:
         if pox is not None and not pox_begun:
             pox_begin(state, pox.er_min, pox.er_max)
         pox_end(state)
         answer_due(math.inf)
-        violated = bool(report.pre_clear_ctrl & det.DETECT_MASK)
-        report.exit_class = "violations" if violated else "clean"
+        report.exit_class = "violations" if pre_clear & DETECT_MASK else "clean"
 
     _finalize(report, state)
     return report

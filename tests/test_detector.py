@@ -9,17 +9,19 @@ from rares_sim.detector import (
     CtrlRegister,
     DETECT_MASK,
     ExecContext,
+    MASK_KINDS,
     RESET_MASK,
     ViolationKind,
     WriteAccessDenied,
     classify,
     decode_bits,
+    event_mask,
     exec_context,
     software_read_ctrl,
     software_write_ctrl,
     step,
-    violations_mask,
 )
+from rares_sim.memory import RegionKind, build_layout
 from rares_sim.scenario import classify_trace_naive
 
 V = ViolationKind
@@ -58,7 +60,8 @@ BENIGN_EVENTS = [
 @pytest.mark.parametrize("kind", list(V), ids=lambda k: k.name)
 def test_each_attack_event_sets_exactly_its_bit(layout, kind):
     assert classify(layout, ATTACK_EVENTS[kind]) == {kind}
-    assert violations_mask({kind}) == 1 << kind.value
+    assert event_mask(layout, ATTACK_EVENTS[kind]) == 1 << kind.value
+    assert MASK_KINDS[1 << kind.value] == (kind,)
 
 
 @pytest.mark.parametrize("event", BENIGN_EVENTS)
@@ -81,8 +84,10 @@ def test_event_with_both_strobes_rejected():
 
 
 def test_event_address_out_of_range_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"pc=0x10000 outside"):
         AccessEvent(pc=0x10000)
+    with pytest.raises(ValueError, match=r"daddr=-0x1 outside"):
+        AccessEvent(daddr=-1)
 
 
 def test_one_event_can_set_two_bits(layout):
@@ -200,7 +205,72 @@ def events(draw):
 @given(event=events())
 @settings(max_examples=500)
 def test_single_event_matches_naive_word(layout, event):
-    assert violations_mask(classify(layout, event)) == classify_trace_naive(layout, [event])
+    mask = event_mask(layout, event)
+    assert mask == classify_trace_naive(layout, [event])
+    assert classify(layout, event) == {kind for kind in V if mask & kind.mask}
+
+
+def test_mask_kinds_lists_every_masks_kinds_in_bit_order():
+    assert len(MASK_KINDS) == 1 << 10
+    for mask, kinds in enumerate(MASK_KINDS):
+        assert kinds == tuple(kind for kind in sorted(V, key=lambda k: k.value) if mask & kind.mask)
+
+
+# -- the rule table against the naive scanner, signal by signal -------------
+
+
+def assert_rule_table_matches_naive(layout, places):
+    """Every (pc place, target place, bus, none/ren/wen, irq) event: the
+    table's mask equals the whole-trace oracle's word.  The idle bus points
+    at the key ROM, so a rule read off the wrong bus shows."""
+    key_rom = layout.region(RegionKind.KEY_ROM).start
+    for pc in places:
+        for target in places:
+            for dma_en in (False, True):
+                for ren, wen in ((False, False), (True, False), (False, True)):
+                    for irq in (False, True):
+                        event = AccessEvent(
+                            pc=pc, irq=irq, ren=ren, wen=wen,
+                            daddr=key_rom if dma_en else target,
+                            dma_en=dma_en,
+                            dma_addr=target if dma_en else key_rom,
+                        )
+                        assert event_mask(layout, event) == classify_trace_naive(
+                            layout, [event]
+                        ), event
+
+
+def gap_address(layout):
+    return next(
+        addr for addr in (0x0000, 0xFFFF)
+        if not any(r.start <= addr <= r.end for r in layout.regions)
+    )
+
+
+def test_rule_table_matches_naive_for_every_signal_combination(layout):
+    # both ends of each region, and a gap
+    places = [r.start for r in layout.regions] + [r.end for r in layout.regions]
+    assert_rule_table_matches_naive(layout, places + [gap_address(layout)])
+
+
+@st.composite
+def slotted_layouts(draw):
+    """Seven regions in shuffled 4 KiB slots anywhere in the address space,
+    each at a random offset with a random size."""
+    slots = draw(st.permutations(range(16)))
+    rows = []
+    for kind, slot in zip(RegionKind, slots):
+        size = 32 if kind is RegionKind.KEY_ROM else draw(st.integers(2, 0x800))
+        start = slot * 0x1000 + draw(st.integers(0, 0x1000 - size))
+        rows.append((kind, start, start + size - 1))
+    return build_layout(rows)
+
+
+@given(layout=slotted_layouts(), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rule_table_matches_naive_on_drawn_layouts(layout, data):
+    places = [data.draw(st.integers(r.start, r.end)) for r in layout.regions]
+    assert_rule_table_matches_naive(layout, places + [gap_address(layout)])
 
 
 @given(trace=st.lists(events(), max_size=40))

@@ -164,6 +164,16 @@ def test_span_matches_linear_scan(rows, start, length):
     kind = classify_linear(layout.regions, start)
     same = kind is not None and start <= end and classify_linear(layout.regions, end) is kind
     assert layout.span(start, end) == (layout.region(kind) if same else None)
+    assert list(map(layout.classify, range(0x10000))) == kinds_by_linear_scan(layout.regions)
+
+
+def kinds_by_linear_scan(regions):
+    """The kind at each of the 65 536 addresses, walking the disjoint
+    regions in address order and filling the gaps with None."""
+    kinds = []
+    for region in sorted(regions, key=lambda r: r.start):
+        kinds += [None] * (region.start - len(kinds)) + [region.kind] * region.size
+    return kinds + [None] * (0x10000 - len(kinds))
 
 
 def test_region_fenceposts(layout):

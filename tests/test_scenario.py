@@ -1,7 +1,9 @@
 """Scenario parsing, the runner's worked examples, and the trace oracle."""
 
+import gc
 import hashlib
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -76,6 +78,7 @@ def test_bad_json_reports_position():
         ('{"trace": [{"cycle": 1, "pcc": "0x4000"}]}', "unknown fields"),
         ('{"regions": {"key_rom": "00"}}', "provisioned via"),
         ('{"regions": {"nowhere": "00"}}', "unknown region"),
+        ('{"regions": {"metadata": "ffff"}}', r"regions\.metadata: a read-only view"),
         ('{"binding": {"NOT_A_KIND": "none"}}', "unknown violation kind"),
         ('{"binding": {"IRQ_RAM": "explode"}}', "unknown action"),
         ('{"pox": {"begin_cycle": 5, "end_cycle": 2, "er_min": "0x4000", "er_max": "0x40FF"}}',
@@ -501,3 +504,22 @@ def scenario_docs(draw):
 @settings(max_examples=200, deadline=None)
 def test_to_json_matches_stdlib_encoder_on_generated_scenarios(doc):
     assert_json_matches_stdlib(run(parse_scenario(json.dumps(doc))))
+
+
+def test_to_json_peak_memory_stays_near_its_output_size():
+    # app-RAM traffic with a DMA key-ROM read (gate and reflash) every 50th cycle
+    events = [
+        AccessEvent(pc=0x4000, ren=True, dma_en=True, dma_addr=0x6A00) if i % 50 == 49
+        else AccessEvent(pc=0x4000 + i % 256, wen=bool(i % 2), ren=not i % 2, daddr=0x4100 + i % 512)
+        for i in range(5000)
+    ]
+    report = run(make_scenario(events))
+    assert len(report.rows) == 5000
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = report.to_json()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), f"peak {peak} B for {len(text)} B of output"
