@@ -22,6 +22,8 @@ from .scenario import (
     AttestAt,
     Scenario,
     ScenarioError,
+    _attest_to_dict,
+    _boot_lines,
     _boot_to_dict,
     build_device,
     parse_scenario_file,
@@ -112,11 +114,7 @@ def cmd_boot(args) -> int:
         payload = {"scenario": scenario.name, **_boot_to_dict(boot)}
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write(f"boot: {boot.outcome.value} attempts={boot.attempts}\n")
-        for computed, reference in boot.digests:
-            sys.stdout.write(
-                f"  digest computed={computed.hex()} reference={reference.hex()}\n"
-            )
+        sys.stdout.write("\n".join(_boot_lines(boot)) + "\n")
     if boot.outcome is BootOutcome.UNRECOVERABLE:
         return ExitStatus.UNRECOVERABLE
     return ExitStatus.OK
@@ -165,13 +163,7 @@ def cmd_attest(args) -> int:
     if args.format == "json":
         payload = {
             "scenario": scenario.name,
-            "nonce": nonce.hex(),
-            "region_start": f"0x{start:04X}",
-            "region_end": f"0x{end:04X}",
-            "exec_flag": answer.report.exec_flag,
-            "er_min": f"0x{answer.report.er_min:04X}",
-            "er_max": f"0x{answer.report.er_max:04X}",
-            "tag": answer.report.tag.hex(),
+            **_attest_to_dict(request, answer.report),
             "verdict": verdict,
         }
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")

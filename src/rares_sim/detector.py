@@ -78,10 +78,6 @@ class ViolationKind(Enum):
     CPU_ROM_RD = 9
 
     @property
-    def bit(self) -> int:
-        return self.value
-
-    @property
     def mask(self) -> int:
         return 1 << self.value
 
@@ -91,7 +87,7 @@ RESET_MASK = 1 << RESET_BIT
 DETECT_MASK = 0x03FF  # D0-D9
 RESERVED_MASK = 0xF800  # D11-D15
 
-_BIT_TO_KIND = {k.bit: k for k in ViolationKind}
+_BIT_TO_KIND = {k.value: k for k in ViolationKind}
 
 
 class CtrlRegister:

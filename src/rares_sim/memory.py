@@ -76,9 +76,6 @@ class Region:
     def size(self) -> int:
         return self.end - self.start + 1
 
-    def contains(self, addr: int) -> bool:
-        return self.start <= addr <= self.end
-
 
 DEFAULT_REGIONS = [
     (RegionKind.RESERVED_STACK, 0x0200, 0x0AFF),
@@ -230,12 +227,12 @@ class DeviceState:
 
     # -- provisioning -------------------------------------------------
 
-    def set_region_bytes(self, kind: RegionKind, data: bytes, offset: int = 0) -> None:
+    def set_region_bytes(self, kind: RegionKind, data: bytes) -> None:
         """Load region contents directly (scenario provisioning, not a bus access)."""
         buf = self.mem[kind]
-        if offset + len(data) > len(buf):
-            raise ValueError(f"{len(data)} bytes at +{offset} exceed region {kind.value}")
-        buf[offset:offset + len(data)] = data
+        if len(data) > len(buf):
+            raise ValueError(f"{len(data)} bytes exceed region {kind.value}")
+        buf[:len(data)] = data
 
     def provision_golden(self, golden: GoldenImage) -> None:
         """Install the recovery image and its reference digest.

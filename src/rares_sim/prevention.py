@@ -151,7 +151,7 @@ def apply_prevention(
         return records
     bound = [
         (kind, binding.action_for(kind))
-        for kind in sorted(violations, key=lambda k: k.bit)
+        for kind in sorted(violations, key=lambda k: k.value)
     ]
     strongest = max(action.kind for _, action in bound)
     for kind, action in bound:

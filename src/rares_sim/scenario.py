@@ -30,13 +30,21 @@ Top-level keys (all optional except none):
              cycles strictly increase; omitted fields default to 0/false;
              "data" is the byte a write event stores
 
-Run order within one trace cycle: detection (bits latch the same cycle) ->
-prevention -> memory effect (suppressed under the gate or, for CPU events,
-while halted) -> window close if this is its end cycle -> attestation
-answers due at this cycle -> cycle boundary, where a queued recovery
-reflashes and a pending reset reboots the device.  Idle cycles between
-trace labels carry no bus activity.  Attestation requests falling in a gap
-are answered after the next processed event, or after the trace ends.
+Run order within one trace cycle: window open or gap close (below) ->
+detection (bits latch the same cycle) -> prevention -> memory effect
+(suppressed under the gate or, for CPU events, while halted) -> window
+close if this is its end cycle -> attestation answers due at this cycle ->
+cycle boundary, where a queued recovery reflashes and a pending reset
+reboots the device.  Idle cycles between trace labels carry no bus
+activity.  Attestation requests falling in a gap are answered after the
+next processed event, or after the trace ends.
+
+The proof-of-execution window opens before the first event labelled at or
+after begin_cycle and closes after the event labelled end_cycle, or, when
+end_cycle is idle, in the gap before the first later event: no event after
+end_cycle reaches the window.  After the trace it opens if it never did,
+then closes; an unrecoverable boot or reboot ends the run with neither and
+answers no further challenge.
 """
 
 from __future__ import annotations
@@ -490,16 +498,7 @@ class RunReport:
                 for ev in self.recovery_events
             ],
             "attest_reports": [
-                {
-                    "cycle": ans.cycle,
-                    "nonce": ans.request.nonce.hex(),
-                    "region_start": f"0x{ans.request.region_start:04X}",
-                    "region_end": f"0x{ans.request.region_end:04X}",
-                    "exec_flag": ans.report.exec_flag,
-                    "er_min": f"0x{ans.report.er_min:04X}",
-                    "er_max": f"0x{ans.report.er_max:04X}",
-                    "tag": ans.report.tag.hex(),
-                }
+                {"cycle": ans.cycle, **_attest_to_dict(ans.request, ans.report)}
                 for ans in self.attest_answers
             ],
             "pre_clear_ctrl": f"0x{self.pre_clear_ctrl:04X}",
@@ -538,11 +537,7 @@ class RunReport:
         return "".join(out)
 
     def to_text(self, show_pre_clear: bool = False) -> str:
-        lines = [f"scenario: {self.scenario_name}"]
-        boot = self.boot
-        lines.append(f"boot: {boot.outcome.value} attempts={boot.attempts}")
-        for computed, reference in boot.digests:
-            lines.append(f"  digest computed={computed.hex()} reference={reference.hex()}")
+        lines = [f"scenario: {self.scenario_name}", *_boot_lines(self.boot)]
         boundary = {ev.after_cycle: ev for ev in self.recovery_events}
         for row in self.rows:
             lines.append(_row_to_text(row))
@@ -578,6 +573,26 @@ def _boot_to_dict(boot: BootReport) -> dict:
             {"computed": computed.hex(), "reference": reference.hex()}
             for computed, reference in boot.digests
         ],
+    }
+
+
+def _boot_lines(boot: BootReport) -> list[str]:
+    """The text form of a boot report, one string per line."""
+    return [f"boot: {boot.outcome.value} attempts={boot.attempts}"] + [
+        f"  digest computed={computed.hex()} reference={reference.hex()}"
+        for computed, reference in boot.digests
+    ]
+
+
+def _attest_to_dict(request: AttestRequest, report: AttestReport) -> dict:
+    return {
+        "nonce": request.nonce.hex(),
+        "region_start": f"0x{request.region_start:04X}",
+        "region_end": f"0x{request.region_end:04X}",
+        "exec_flag": report.exec_flag,
+        "er_min": f"0x{report.er_min:04X}",
+        "er_max": f"0x{report.er_max:04X}",
+        "tag": report.tag.hex(),
     }
 
 
@@ -727,43 +742,31 @@ def run(scenario: Scenario) -> RunReport:
     state = build_device(scenario)
     boot = fsbl_boot(state)
     report = RunReport(scenario_name=scenario.name, boot=boot)
-    if boot.outcome is BootOutcome.UNRECOVERABLE:
-        report.exit_class = "unrecoverable"
-        _finalize(report, state)
-        return report
 
     pox = scenario.pox
-    pox_begun = False
-    pox_end_cycle = pox.end_cycle if pox is not None else math.inf
+    # the window's two sentinel cycles; math.inf when there is none or once served
+    begin_at = end_at = math.inf
+    if pox is not None:
+        begin_at, end_at = pox.begin_cycle, pox.end_cycle
     pending = scenario.attest_requests
     next_attest = 0
     next_due = pending[0].cycle if pending else math.inf
-    halted_for_good = False
     binding = scenario.binding
     ctrl = state.ctrl
     rows = report.rows
     pre_clear = 0
 
-    def answer_due(last_cycle: float) -> float:
-        """Answer every pending challenge due by last_cycle, in order;
-        return the cycle the next one is due."""
-        nonlocal next_attest
-        while next_attest < len(pending) and pending[next_attest].cycle <= last_cycle:
-            entry = pending[next_attest]
-            next_attest += 1
-            report.attest_answers.append(
-                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
-            )
-        return pending[next_attest].cycle if next_attest < len(pending) else math.inf
-
-    for step_rec in scenario.trace:
+    # an unrecoverable boot halts the device before the trace
+    steps = () if boot.outcome is BootOutcome.UNRECOVERABLE else scenario.trace
+    for step_rec in steps:
         label = step_rec.cycle
         event = step_rec.event
-        if pox is not None and not pox_begun and label >= pox.begin_cycle:
+        if label >= begin_at:
             pox_begin(state, pox.er_min, pox.er_max)
-            pox_begun = True
-            if label > pox.end_cycle:  # window fell entirely inside a gap
-                pox_end(state)
+            begin_at = math.inf
+        if label > end_at:  # the end cycle was idle: the window closed in the gap
+            pox_end(state)
+            end_at = math.inf
 
         # idle gap cycles carry no bus activity; land the step on its label
         state.cycle = label - 1
@@ -793,33 +796,43 @@ def run(scenario: Scenario) -> RunReport:
             CycleRow(label, event, step_rec.data, violations, ctrl_after, actions, mem_effect)
         )
 
-        if label >= pox_end_cycle and state.exec_meta.armed:
+        if label == end_at:
             pox_end(state)
+            end_at = math.inf
 
-        if label >= next_due:
-            next_due = answer_due(label)
+        while label >= next_due:
+            entry = pending[next_attest]
+            next_attest += 1
+            report.attest_answers.append(
+                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
+            )
+            next_due = pending[next_attest].cycle if next_attest < len(pending) else math.inf
 
         if state.recovery_queued:
             reflash(state)
             report.recovery_events.append(RecoveryEvent(after_cycle=label, kind="reflash"))
         if state.reset_pending:
-            reboot = _service_reset(state)
+            boot = _service_reset(state)
             report.recovery_events.append(
-                RecoveryEvent(after_cycle=label, kind="reset", boot=reboot)
+                RecoveryEvent(after_cycle=label, kind="reset", boot=boot)
             )
-            if reboot.outcome is BootOutcome.UNRECOVERABLE:
-                report.exit_class = "unrecoverable"
-                halted_for_good = True
+            if boot.outcome is BootOutcome.UNRECOVERABLE:
                 break
 
     report.pre_clear_ctrl = pre_clear
-    if not halted_for_good:
-        if pox is not None and not pox_begun:
+    # `boot` is the last boot: power-on, or the reboot of the last reset
+    if boot.outcome is BootOutcome.UNRECOVERABLE:
+        report.exit_class = "unrecoverable"
+    else:
+        if begin_at < math.inf:
             pox_begin(state, pox.er_min, pox.er_max)
-        pox_end(state)
-        answer_due(math.inf)
+        if end_at < math.inf:
+            pox_end(state)
+        for entry in pending[next_attest:]:
+            report.attest_answers.append(
+                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
+            )
         report.exit_class = "violations" if pre_clear & DETECT_MASK else "clean"
-
     _finalize(report, state)
     return report
 

@@ -324,6 +324,30 @@ def test_pox_window_entirely_inside_a_gap_is_vacuously_clean():
     assert report.attest_answers[0].report.exec_flag is True
 
 
+def test_pox_window_ending_in_a_gap_closes_before_the_next_event():
+    scenario = parse_scenario(
+        json.dumps(
+            {
+                "pox": {"begin_cycle": 1, "end_cycle": 5, "er_min": "0x4000",
+                        "er_max": "0x40FF"},
+                "attest": [
+                    {"cycle": 11, "nonce": "55" * 32, "region_start": "0x4000",
+                     "region_end": "0x400F"}
+                ],
+                "trace": [
+                    {"cycle": 1, "pc": "0x4000"},
+                    {"cycle": 2, "pc": "0x4002"},
+                    {"cycle": 10, "pc": "0x6000"},
+                ],
+            }
+        )
+    )
+    # cycle 5 is idle, so the window closed in the gap; the cycle-10
+    # excursion comes after it and must not count
+    report = run(scenario)
+    assert report.attest_answers[0].report.exec_flag is True
+
+
 def test_reset_aborts_open_pox_window():
     scenario = parse_scenario(
         json.dumps(
@@ -428,6 +452,58 @@ def test_run_pre_clear_snapshot_matches_naive_word(trace):
     assert report.pre_clear_ctrl & DETECT_MASK == classify_trace_naive(
         scenario.layout, trace
     )
+
+
+_NO_ACTIONS = {kind.name: "none" for kind in ViolationKind}
+
+
+@st.composite
+def pox_docs(draw):
+    """Scenario documents with a window inside 0x4000-0x40FF, gapped labels,
+    pcs inside and outside the window, no bound action (so nothing resets)
+    and one challenge after the last label."""
+    er_min = draw(st.integers(0x4000, 0x40FF))
+    er_max = draw(st.integers(er_min, 0x40FF))
+    inside = st.integers(er_min, er_max)
+    # two in three pcs inside and one in eight cycles with an interrupt, so
+    # that many windows stay clean until their end
+    pcs = inside | inside | st.sampled_from([0x3FFF, 0x4100, 0x6000, 0xE000])
+    trace, cycle = [], 0
+    for _ in range(draw(st.integers(0, 12))):
+        cycle += draw(st.integers(1, 4))
+        trace.append({
+            "cycle": cycle, "pc": draw(pcs), "irq": draw(st.integers(0, 7)) == 0,
+            "ren": draw(st.booleans()), "daddr": draw(_addr_pool),
+        })
+    begin = draw(st.integers(1, cycle + 2))
+    return {
+        "binding": _NO_ACTIONS,
+        "pox": {"begin_cycle": begin, "end_cycle": begin + draw(st.integers(0, 5)),
+                "er_min": er_min, "er_max": er_max},
+        "attest": [{"cycle": cycle + 1, "nonce": "66" * 32, "region_start": "0x4000",
+                    "region_end": "0x400F"}],
+        "trace": trace,
+    }
+
+
+@given(doc=pox_docs())
+@example(doc={  # the end cycle 5 is idle and cycle 10 is an excursion
+    "binding": _NO_ACTIONS,
+    "pox": {"begin_cycle": 1, "end_cycle": 5, "er_min": 0x4000, "er_max": 0x40FF},
+    "attest": [{"cycle": 11, "nonce": "66" * 32, "region_start": "0x4000",
+                "region_end": "0x400F"}],
+    "trace": [{"cycle": 1, "pc": 0x4000}, {"cycle": 2, "pc": 0x4002},
+              {"cycle": 10, "pc": 0x6000}],
+})
+@settings(max_examples=300, deadline=None)
+def test_no_event_after_the_window_end_reaches_the_window(doc):
+    end = doc["pox"]["end_cycle"]
+    truncated = {**doc, "trace": [ev for ev in doc["trace"] if ev["cycle"] <= end]}
+    flags = [
+        run(parse_scenario(json.dumps(d))).attest_answers[0].report.exec_flag
+        for d in (doc, truncated)
+    ]
+    assert flags[0] == flags[1]
 
 
 # -- JSON report writer ---------------------------------------------------------
