@@ -129,12 +129,14 @@ def decode_bits(value: int) -> list[str]:
     return names
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AccessEvent:
     """One cycle's snapshot of the seven tapped control signals.
 
     With dma_en set, ren/wen give the DMA transfer direction and dma_addr
-    the target; otherwise they describe the CPU access at daddr.
+    the target; otherwise they describe the CPU access at daddr.  The
+    constructor checks the fields; the scenario parser, which has made the
+    same checks on each trace row, fills the slots directly.
     """
 
     pc: int = 0

@@ -30,6 +30,13 @@ Top-level keys (all optional except none):
              cycles strictly increase; omitted fields default to 0/false;
              "data" is the byte a write event stores
 
+Bad input raises a ScenarioError with a located message: JSON errors give
+line and column (or say the nesting or an integer is too large), every
+other error names its field.  The trace rows are validated in one loop
+(`_parse_trace`); a row it does not accept re-enters the per-field helpers
+(`_parse_step`), which own each message, so both paths accept the same rows
+and say the same thing.
+
 Run order within one trace cycle: window open or gap close (below) ->
 detection (bits latch the same cycle) -> prevention -> memory effect
 (suppressed under the gate or, for CPU events, while halted) -> window
@@ -51,7 +58,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .attestation import (
     NONCE_SIZE,
@@ -110,7 +117,7 @@ class ScenarioSemanticError(ScenarioError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceStep:
     cycle: int
     event: AccessEvent
@@ -208,7 +215,12 @@ _ACTION_NAMES = {
 }
 
 _TOP_KEYS = {"name", "layout", "key", "golden", "regions", "binding", "pox", "attest", "trace"}
-_TRACE_KEYS = {"cycle", "pc", "irq", "ren", "wen", "daddr", "dma_en", "dma_addr", "data"}
+# A trace row's fields and the values they default to ("cycle" has none), in
+# the order `_parse_trace` unpacks them.
+_TRACE_DEFAULTS = {
+    "cycle": None, "pc": 0, "irq": False, "ren": False, "wen": False,
+    "daddr": 0, "dma_en": False, "dma_addr": 0, "data": 0,
+}
 
 
 def _parse_layout(obj) -> MemoryLayout:
@@ -279,6 +291,10 @@ def parse_scenario(text: str) -> Scenario:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(f"line {exc.lineno} col {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ScenarioSyntaxError("JSON nesting too deep") from None
+    except ValueError:  # an integer literal past the interpreter's digit limit
+        raise ScenarioSyntaxError("JSON integer has too many digits") from None
     if not isinstance(obj, dict):
         raise ScenarioSemanticError("scenario must be a JSON object")
     unknown = set(obj) - _TOP_KEYS
@@ -380,36 +396,10 @@ def parse_scenario(text: str) -> Scenario:
         )
     attest_requests.sort(key=lambda a: a.cycle)
 
-    trace: list[TraceStep] = []
-    last_cycle = 0
     raw_trace = obj.get("trace", [])
     if not isinstance(raw_trace, list):
         raise ScenarioSemanticError("trace: expected an array")
-    for i, tobj in enumerate(raw_trace):
-        where = f"trace[{i}]"
-        if not isinstance(tobj, dict):
-            raise ScenarioSemanticError(f"{where}: expected an object")
-        unknown = set(tobj) - _TRACE_KEYS
-        if unknown:
-            raise ScenarioSemanticError(f"{where}: unknown fields {', '.join(sorted(unknown))}")
-        cycle = _parse_cycle(tobj.get("cycle"), f"{where}.cycle")
-        if cycle <= last_cycle:
-            raise ScenarioSemanticError(f"{where}.cycle: non-monotone cycle {cycle}")
-        last_cycle = cycle
-        try:
-            event = AccessEvent(
-                pc=_parse_addr(tobj.get("pc", 0), f"{where}.pc"),
-                irq=_parse_flag(tobj, "irq", where),
-                ren=_parse_flag(tobj, "ren", where),
-                wen=_parse_flag(tobj, "wen", where),
-                daddr=_parse_addr(tobj.get("daddr", 0), f"{where}.daddr"),
-                dma_en=_parse_flag(tobj, "dma_en", where),
-                dma_addr=_parse_addr(tobj.get("dma_addr", 0), f"{where}.dma_addr"),
-            )
-        except ValueError as exc:
-            raise ScenarioSemanticError(f"{where}: {exc}") from None
-        data = _parse_byte(tobj.get("data", 0), f"{where}.data")
-        trace.append(TraceStep(cycle=cycle, event=event, data=data))
+    trace = _parse_trace(raw_trace)
 
     return Scenario(
         name=name,
@@ -424,9 +414,116 @@ def parse_scenario(text: str) -> Scenario:
     )
 
 
+def _parse_step(tobj, where: str, last_cycle: int) -> TraceStep:
+    """One trace row through the per-field helpers, which own every
+    trace-row message: raises the row's located error or builds it."""
+    if not isinstance(tobj, dict):
+        raise ScenarioSemanticError(f"{where}: expected an object")
+    unknown = set(tobj) - _TRACE_DEFAULTS.keys()
+    if unknown:
+        raise ScenarioSemanticError(f"{where}: unknown fields {', '.join(sorted(unknown))}")
+    cycle = _parse_cycle(tobj.get("cycle"), f"{where}.cycle")
+    if cycle <= last_cycle:
+        raise ScenarioSemanticError(f"{where}.cycle: non-monotone cycle {cycle}")
+    try:
+        event = AccessEvent(
+            pc=_parse_addr(tobj.get("pc", 0), f"{where}.pc"),
+            irq=_parse_flag(tobj, "irq", where),
+            ren=_parse_flag(tobj, "ren", where),
+            wen=_parse_flag(tobj, "wen", where),
+            daddr=_parse_addr(tobj.get("daddr", 0), f"{where}.daddr"),
+            dma_en=_parse_flag(tobj, "dma_en", where),
+            dma_addr=_parse_addr(tobj.get("dma_addr", 0), f"{where}.dma_addr"),
+        )
+    except ValueError as exc:
+        raise ScenarioSemanticError(f"{where}: {exc}") from None
+    data = _parse_byte(tobj.get("data", 0), f"{where}.data")
+    return TraceStep(cycle=cycle, event=event, data=data)
+
+
+def _slot_setters(cls) -> tuple:
+    """The slot descriptors' setters of a slotted dataclass, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+def _parse_trace(raw_trace: list) -> list[TraceStep]:
+    """The trace rows, validated in one loop.
+
+    A row is merged over `_TRACE_DEFAULTS`; the merge keeps nine keys, in
+    field order, exactly when the row names no unknown key.  A row whose
+    values are then of exact JSON types, in range, not both ren and wen, and
+    whose cycle increases is built here through the slot setters, without
+    the `AccessEvent.__post_init__` checks this loop has just made.  Every
+    other row goes through `_parse_step`, so the per-field helpers decide
+    what is accepted and say what is wrong, as they do for the rest of the
+    scenario.
+    """
+    new = object.__new__
+    set_pc, set_irq, set_ren, set_wen, set_daddr, set_dma_en, set_dma_addr = _slot_setters(
+        AccessEvent
+    )
+    set_cycle, set_event, set_data = _slot_setters(TraceStep)
+    defaults = _TRACE_DEFAULTS
+    nkeys = len(defaults)
+    trace: list[TraceStep] = []
+    append = trace.append
+    last_cycle = 0
+    for i, tobj in enumerate(raw_trace):
+        if type(tobj) is dict:
+            row = defaults | tobj
+            if len(row) == nkeys:
+                cycle, pc, irq, ren, wen, daddr, dma_en, dma_addr, data = row.values()
+                try:
+                    if type(pc) is str:
+                        pc = int(pc, 0)
+                    if type(daddr) is str:
+                        daddr = int(daddr, 0)
+                    if type(dma_addr) is str:
+                        dma_addr = int(dma_addr, 0)
+                    if type(data) is str:
+                        data = int(data, 0)
+                except ValueError:
+                    pass  # the bad value is still a string, so the row takes the helpers' path
+                if (
+                    type(cycle) is int and cycle > last_cycle
+                    and type(pc) is int and 0 <= pc <= 0xFFFF
+                    and type(daddr) is int and 0 <= daddr <= 0xFFFF
+                    and type(dma_addr) is int and 0 <= dma_addr <= 0xFFFF
+                    and type(data) is int and 0 <= data <= 0xFF
+                    and type(irq) is bool and type(ren) is bool
+                    and type(wen) is bool and type(dma_en) is bool
+                    and not (ren and wen)
+                ):
+                    event = new(AccessEvent)
+                    set_pc(event, pc)
+                    set_irq(event, irq)
+                    set_ren(event, ren)
+                    set_wen(event, wen)
+                    set_daddr(event, daddr)
+                    set_dma_en(event, dma_en)
+                    set_dma_addr(event, dma_addr)
+                    step = new(TraceStep)
+                    set_cycle(step, cycle)
+                    set_event(step, event)
+                    set_data(step, data)
+                    append(step)
+                    last_cycle = cycle
+                    continue
+        step = _parse_step(tobj, f"trace[{i}]", last_cycle)
+        append(step)
+        last_cycle = step.cycle
+    return trace
+
+
 def parse_scenario_file(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioSyntaxError(
+                f"{path}: not UTF-8 text: byte 0x{exc.object[exc.start]:02X} at offset {exc.start}"
+            ) from None
+    return parse_scenario(text)
 
 
 # -- device provisioning ------------------------------------------------

@@ -242,3 +242,21 @@ def test_output_bytes_and_exit_codes_are_unchanged(capsys, path, command):
     code, out, _ = invoke(capsys, argv[0], str(path), *argv[1:])
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert (int(code), digest) == RECORDED_OUTPUT[(path.name, command)]
+
+
+def test_deeply_nested_scenario_is_a_usage_error(capsys, tmp_path):
+    deep = tmp_path / "deep.rares.json"
+    deep.write_text("[" * 200000)
+    code, out, err = invoke(capsys, "run", str(deep))
+    assert code == ExitStatus.USAGE
+    assert out == ""
+    assert err == "rares-sim: JSON nesting too deep\n"
+
+
+def test_scenario_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
+    utf16 = tmp_path / "utf16.rares.json"
+    utf16.write_bytes('{"name": "x"}'.encode("utf-16"))  # starts with the BOM ff fe
+    code, out, err = invoke(capsys, "run", str(utf16))
+    assert code == ExitStatus.USAGE
+    assert out == ""
+    assert err == f"rares-sim: {utf16}: not UTF-8 text: byte 0xFF at offset 0\n"
