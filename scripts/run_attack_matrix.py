@@ -7,13 +7,10 @@ action fired, and whether the access reached memory.
 """
 
 import argparse
+import dataclasses
 
 from rares_sim.detector import AccessEvent, ViolationKind, decode_bits
-from rares_sim.memory import GoldenImage, RegionKind
-from rares_sim.scenario import Scenario, TraceStep, run
-from rares_sim.attestation import hmac_sha256
-from rares_sim.memory import build_layout
-from rares_sim.prevention import default_binding
+from rares_sim.scenario import Scenario, TraceStep, parse_scenario, run
 
 V = ViolationKind
 
@@ -32,18 +29,10 @@ ATTACKS = {
 
 
 def single_attack_scenario(kind: ViolationKind) -> Scenario:
-    layout = build_layout()
-    key = bytes(range(32))
-    image = bytes(layout.region(RegionKind.FLASH).size)
-    return Scenario(
+    """The default device and policy, with one hostile cycle as its trace."""
+    return dataclasses.replace(
+        parse_scenario("{}"),
         name=f"attack-{kind.name.lower()}",
-        layout=layout,
-        key=key,
-        golden=GoldenImage(image=image, reference_digest=hmac_sha256(key, image)),
-        region_contents={RegionKind.FLASH: image},
-        binding=default_binding(),
-        pox=None,
-        attest_requests=[],
         trace=[TraceStep(cycle=1, event=ATTACKS[kind], data=0xFF)],
     )
 

@@ -85,9 +85,6 @@ class ViolationKind(Enum):
 RESET_BIT = 10
 RESET_MASK = 1 << RESET_BIT
 DETECT_MASK = 0x03FF  # D0-D9
-RESERVED_MASK = 0xF800  # D11-D15
-
-_BIT_TO_KIND = {k.value: k for k in ViolationKind}
 
 
 class CtrlRegister:
@@ -106,9 +103,6 @@ class CtrlRegister:
             raise ValueError(f"mask 0x{mask:04X} touches reserved bits")
         self._value |= mask
 
-    def has(self, kind: ViolationKind) -> bool:
-        return bool(self._value & kind.mask)
-
     def clear_detection_bits(self) -> None:
         """Recovery completion clears D0-D9 (D10 untouched)."""
         self._value &= ~DETECT_MASK
@@ -123,7 +117,7 @@ class CtrlRegister:
 
 def decode_bits(value: int) -> list[str]:
     """Human names of the set bits, e.g. ['D9:CPU_ROM_RD']."""
-    names = [f"D{b}:{_BIT_TO_KIND[b].name}" for b in range(10) if value & (1 << b)]
+    names = [f"D{k.value}:{k.name}" for k in MASK_KINDS[value & DETECT_MASK]]
     if value & RESET_MASK:
         names.append(f"D{RESET_BIT}:RESET")
     return names

@@ -218,8 +218,6 @@ class DeviceState:
         self.ctrl = CtrlRegister()
         self.r2 = ModeRegister()
         self.cpu_halted = False
-        self.chip_gate_active = False
-        self.reset_pending = False
         self.recovery_queued = False
         self.exec_meta = ExecMetadata()
         self.reference_digest = bytes(DIGEST_SIZE)
@@ -310,9 +308,9 @@ class DeviceState:
 def apply_write(state: DeviceState, addr: int, byte: int) -> WriteResult:
     """Store one byte through the memory backbone.
 
-    Suppressed (memory untouched) while the chip-enable gate is raised or
-    when the target is a ROM kind or the metadata view.  Raises
-    UnmappedAddressError for gap addresses.
+    Suppressed (memory untouched) while the chip-enable gate is raised, that
+    is while `state.recovery_queued` holds, or when the target is a ROM kind
+    or the metadata view.  Raises UnmappedAddressError for gap addresses.
     """
     if not 0 <= byte <= 0xFF:
         raise ValueError(f"byte value {byte!r} out of range")
@@ -320,7 +318,7 @@ def apply_write(state: DeviceState, addr: int, byte: int) -> WriteResult:
     if region is None:
         raise UnmappedAddressError(f"0x{addr:04X}")
     kind = region.kind
-    if state.chip_gate_active or kind in ROM_KINDS or kind is RegionKind.METADATA:
+    if state.recovery_queued or kind in ROM_KINDS or kind is RegionKind.METADATA:
         return WriteResult.SUPPRESSED
     state.mem[kind][addr - region.start] = byte
     return WriteResult.APPLIED

@@ -1,10 +1,11 @@
 """Violation-to-action policy engine.
 
-Four prevention mechanisms, bindable per violation kind: a software status
-register mode switch (bit-set, the `bis #240, r2` idiom), a hardware CPU-off
-idle that leaves DMA and peripherals running, chip-enable gating that
-suppresses the offending access and queues an onboard recovery, and a full
-system reset signalled through register bit D10.
+Four prevention mechanisms, bindable per violation kind, each leaving one
+mark on the device state: a software status register mode switch (bit-set
+into `r2`, the `bis #240, r2` idiom), a hardware CPU-off idle (`cpu_halted`)
+that leaves DMA and peripherals running, chip-enable gating that suppresses
+the offending access for as long as its onboard recovery is queued
+(`recovery_queued`), and a full system reset requested by register bit D10.
 
 When several bound actions fire in one cycle the strongest wins
 (reset > gate+recover > cpu-off > mode switch > none); every bound action is
@@ -140,11 +141,11 @@ def apply_prevention(
 ) -> list[ActionRecord]:
     """Apply the strongest bound action for this cycle's violations.
 
-    Effects: mode switch ORs the mask into r2; CPU-off latches the halt (DMA
-    and peripherals stay usable); gate+recover raises the chip-enable gate,
-    suppressing the offending access in this same cycle, and queues a
-    recovery; reset latches D10 and flags the reset as pending.  Subsumed
-    actions are logged with applied=False.
+    The winner changes exactly one mark: mode switch ORs the mask into r2;
+    CPU-off sets `cpu_halted` (DMA and peripherals stay usable); gate+recover
+    sets `recovery_queued`, the raised chip-enable gate, which suppresses the
+    offending access in this same cycle; reset latches D10, the reset
+    request.  Subsumed actions are logged with applied=False.
     """
     records: list[ActionRecord] = []
     if not violations:
@@ -165,9 +166,7 @@ def apply_prevention(
     elif strongest is ActionKind.HARD_CPU_OFF:
         state.cpu_halted = True
     elif strongest is ActionKind.CHIP_GATE_AND_RECOVER:
-        state.chip_gate_active = True
         state.recovery_queued = True
     elif strongest is ActionKind.SYSTEM_RESET:
-        state.reset_pending = True
         state.ctrl.latch(RESET_MASK)
     return records

@@ -11,7 +11,7 @@ Top-level keys (all optional except none):
     name     run label
     layout   {region: [start, end]} overrides merged over the defaults;
              region names: boot_rom key_rom recovery_rom flash app_ram
-             reserved_stack metadata
+             reserved_stack metadata; recovery_rom at least flash's size
     key      32-byte hex device key (default 000102...1f)
     golden   {"image": hex, "reference_digest": hex?}; image is zero-padded
              to the flash size; digest computed from the image when absent
@@ -41,8 +41,8 @@ Run order within one trace cycle: window open or gap close (below) ->
 detection (bits latch the same cycle) -> prevention -> memory effect
 (suppressed under the gate or, for CPU events, while halted) -> window
 close if this is its end cycle -> attestation answers due at this cycle ->
-cycle boundary, where a queued recovery reflashes and a pending reset
-reboots the device.  Idle cycles between trace labels carry no bus
+cycle boundary, where a queued recovery reflashes and a reset requested
+by D10 reboots the device.  Idle cycles between trace labels carry no bus
 activity.  Attestation requests falling in a gap are answered after the
 next processed event, or after the trace ends.
 
@@ -72,7 +72,9 @@ from .attestation import (
     pox_begin,
     pox_end,
 )
-from .detector import DETECT_MASK, MASK_KINDS, AccessEvent, ViolationKind, decode_bits, latch_event
+from .detector import (
+    DETECT_MASK, MASK_KINDS, RESET_MASK, AccessEvent, ViolationKind, decode_bits, latch_event,
+)
 from .memory import (
     DEFAULT_REGIONS,
     DIGEST_SIZE,
@@ -314,6 +316,8 @@ def parse_scenario(text: str) -> Scenario:
     else:
         key = DEFAULT_KEY
 
+    if layout.region(RegionKind.RECOVERY_ROM).size < flash_size:
+        raise ScenarioSemanticError(f"layout: recovery_rom smaller than flash ({flash_size} bytes)")
     golden_obj = obj.get("golden", {})
     if not isinstance(golden_obj, dict):
         raise ScenarioSemanticError("golden: expected an object")
@@ -908,7 +912,7 @@ def run(scenario: Scenario) -> RunReport:
         if state.recovery_queued:
             reflash(state)
             report.recovery_events.append(RecoveryEvent(after_cycle=label, kind="reflash"))
-        if state.reset_pending:
+        if ctrl_after & RESET_MASK:
             boot = _service_reset(state)
             report.recovery_events.append(
                 RecoveryEvent(after_cycle=label, kind="reset", boot=boot)
@@ -938,10 +942,8 @@ def _service_reset(state: DeviceState) -> BootReport:
     """Full system reset: wipe latches, register, mode, and proof; reboot."""
     pox_abort(state)
     state.ctrl.clear_all()
-    state.chip_gate_active = False
     state.cpu_halted = False
     state.recovery_queued = False
-    state.reset_pending = False
     state.r2 = ModeRegister()
     return fsbl_boot(state)
 

@@ -39,14 +39,14 @@ def verify_flash(state: DeviceState) -> tuple[bool, bytes]:
 def reflash(state: DeviceState) -> DeviceState:
     """Rewrite flash from the golden image and close the resilience cycle.
 
-    Detection bits D0-D9, the chip-enable gate, and the CPU halt are cleared:
-    a fresh timeline starts after recovery.  Idempotent on clean flash.
+    Clears detection bits D0-D9, the CPU halt, and `recovery_queued`, which
+    lowers the chip-enable gate: a fresh timeline starts after recovery.
+    Idempotent on clean flash.
     """
     flash = state.layout.region(RegionKind.FLASH)
     golden = state.mem[RegionKind.RECOVERY_ROM][:flash.size]
     state.mem[RegionKind.FLASH][:] = golden
     state.ctrl.clear_detection_bits()
-    state.chip_gate_active = False
     state.cpu_halted = False
     state.recovery_queued = False
     return state

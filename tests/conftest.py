@@ -1,6 +1,7 @@
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
 from rares_sim.attestation import hmac_sha256
 from rares_sim.memory import DeviceState, GoldenImage, RegionKind, build_layout
@@ -38,6 +39,19 @@ def make_state(layout):
 @pytest.fixture
 def state(make_state):
     return make_state()
+
+
+@st.composite
+def slotted_layouts(draw):
+    """Seven regions in shuffled 4 KiB slots anywhere in the address space,
+    each at a random offset with a random size."""
+    slots = draw(st.permutations(range(16)))
+    rows = []
+    for kind, slot in zip(RegionKind, slots):
+        size = 32 if kind is RegionKind.KEY_ROM else draw(st.integers(2, 0x800))
+        start = slot * 0x1000 + draw(st.integers(0, 0x1000 - size))
+        rows.append((kind, start, start + size - 1))
+    return build_layout(rows)
 
 
 def scenario_paths():

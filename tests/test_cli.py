@@ -164,6 +164,18 @@ def test_usage_errors_exit_one(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv", [["run"], ["boot"], ["attest", "--nonce", NONCE_HEX]], ids=lambda a: a[0]
+)
+def test_recovery_rom_smaller_than_flash_is_a_usage_error(capsys, tmp_path, argv):
+    small = tmp_path / "small_recovery.rares.json"
+    small.write_text('{"layout": {"recovery_rom": ["0x7000", "0x7001"]}}')
+    code, out, err = invoke(capsys, argv[0], str(small), *argv[1:])
+    assert code == ExitStatus.USAGE
+    assert out == ""
+    assert err.startswith("rares-sim: layout: recovery_rom") and err.count("\n") == 1
+
+
 def test_repeated_json_runs_are_identical(capsys):
     path = str(SCENARIO_DIR / "atomicity_irq.rares.json")
     _, first, _ = invoke(capsys, "run", path, "--format", "json")

@@ -202,7 +202,7 @@ def test_rom_regions_reject_every_write(state):
 
 
 def test_gate_suppresses_all_writes(state):
-    state.chip_gate_active = True
+    state.recovery_queued = True  # the chip-enable gate holds until the recovery runs
     before = state.region_digests()
     for addr in (0x4000, 0x0200, 0xE000, 0x0B00):
         assert apply_write(state, addr, 0x55) is WriteResult.SUPPRESSED

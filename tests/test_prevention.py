@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rares_sim.detector import AccessEvent, CtrlRegister, RESET_MASK, ViolationKind, step
+from rares_sim.memory import WriteResult, apply_write
 from rares_sim.prevention import (
     CHIP_GATE_AND_RECOVER,
     HARD_CPU_OFF,
@@ -119,28 +120,40 @@ def test_with_overrides_replaces_selected_kinds():
 # -- action application -------------------------------------------------------
 
 
+def _marks(state):
+    """The one mark each action leaves: r2, CPU halt, queued recovery, D10."""
+    return (state.r2.value, state.cpu_halted, state.recovery_queued, state.ctrl.value & RESET_MASK)
+
+
+NO_MARKS = (0, False, False, 0)
+_MARK_OF = {
+    ActionKind.SOFT_MODE_SWITCH: 0,
+    ActionKind.HARD_CPU_OFF: 1,
+    ActionKind.CHIP_GATE_AND_RECOVER: 2,
+    ActionKind.SYSTEM_RESET: 3,
+}
+
+
 def test_no_violations_no_records(state):
     assert apply_prevention(state, set(), default_binding()) == []
-    assert not state.cpu_halted and not state.chip_gate_active
+    assert _marks(state) == NO_MARKS
 
 
 def test_hard_cpu_off_latches_halt(state):
     records = apply_prevention(state, {V.CPU_ROM_RD}, default_binding())
     assert [(r.violation, r.applied) for r in records] == [(V.CPU_ROM_RD, True)]
-    assert state.cpu_halted
-    assert not state.chip_gate_active and not state.reset_pending
+    assert _marks(state) == (0, True, False, 0)
 
 
 def test_gate_and_recover_raises_gate_and_queues(state):
     apply_prevention(state, {V.DMA_RAM_WR}, default_binding())
-    assert state.chip_gate_active and state.recovery_queued
-    assert not state.cpu_halted
+    assert _marks(state) == (0, False, True, 0)  # the queued recovery is the raised gate
+    assert apply_write(state, 0x4000, 0x55) is WriteResult.SUPPRESSED
 
 
 def test_system_reset_latches_d10(state):
     apply_prevention(state, {V.IRQ_STACK}, default_binding())
-    assert state.reset_pending
-    assert state.ctrl.value & RESET_MASK
+    assert _marks(state) == (0, False, False, RESET_MASK)  # D10 is the reset request
 
 
 def test_soft_mode_switch_sets_r2(state):
@@ -157,7 +170,7 @@ def test_strongest_action_wins_and_all_are_logged(state):
     by_kind = {r.violation: r for r in records}
     assert by_kind[V.IRQ_RAM].applied is True
     assert by_kind[V.CPU_ROM_RD].applied is False  # subsumed, still logged
-    assert state.reset_pending
+    assert state.ctrl.value & RESET_MASK
     assert not state.cpu_halted  # the weaker action must not fire
 
 
@@ -173,7 +186,7 @@ def test_none_binding_records_nothing_applied(state):
     binding = default_binding().with_overrides({V.CPU_ROM_RD: NO_ACTION})
     records = apply_prevention(state, {V.CPU_ROM_RD}, binding)
     assert len(records) == 1 and records[0].applied is False
-    assert not state.cpu_halted and not state.chip_gate_active
+    assert _marks(state) == NO_MARKS
 
 
 def test_detection_keeps_running_while_halted(state):
@@ -195,13 +208,14 @@ _actions = st.sampled_from(
 def test_applied_records_are_exactly_the_strongest(make_state, kinds, table):
     state = make_state()
     binding = PreventionBinding(table)
+    before = _marks(state)
     records = apply_prevention(state, kinds, binding)
     assert [r.violation for r in records] == sorted(kinds, key=lambda k: k.value)
     strongest = max(table[k].kind for k in kinds)
     for record in records:
         expected = record.action.kind is strongest and strongest is not ActionKind.NONE
         assert record.applied is expected
-    # effect matches the winner
-    assert state.reset_pending is (strongest is ActionKind.SYSTEM_RESET)
-    assert state.chip_gate_active is (strongest is ActionKind.CHIP_GATE_AND_RECOVER)
-    assert state.cpu_halted is (strongest is ActionKind.HARD_CPU_OFF)
+    # the winner changes exactly its own mark and leaves the other three
+    after = _marks(state)
+    changed = [i for i in range(4) if after[i] != before[i]]
+    assert changed == ([] if strongest is ActionKind.NONE else [_MARK_OF[strongest]])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_KEY, scenario_paths
+from conftest import DEFAULT_KEY, scenario_paths, slotted_layouts
 from rares_sim.attestation import hmac_sha256
 from rares_sim.detector import DETECT_MASK, RESET_MASK, AccessEvent, ViolationKind
 from rares_sim.memory import GoldenImage, RegionKind, build_layout
@@ -89,6 +89,8 @@ def test_bad_json_reports_position():
          "nonce"),
         ('{"golden": {"image": "' + "00" * 3000 + '"}}', "exceed region size"),
         ('{"layout": {"app_ram": ["0x4000", "0x7FFF"]}}', "overlap"),
+        ('{"layout": {"recovery_rom": ["0x7000", "0x7001"]}}',
+         r"layout: recovery_rom smaller than flash \(2048 bytes\)"),
         ('{"attest": 5}', "attest: expected an array"),
         ('{"attest": null}', "attest: expected an array"),
         ('{"binding": {"IRQ_RAM": {"action": ["x"]}}}', "action: expected a string"),
@@ -580,6 +582,63 @@ def scenario_docs(draw):
 @settings(max_examples=200, deadline=None)
 def test_to_json_matches_stdlib_encoder_on_generated_scenarios(doc):
     assert_json_matches_stdlib(run(parse_scenario(json.dumps(doc))))
+
+
+@st.composite
+def drawn_layout_docs(draw):
+    """Scenario documents over a drawn layout with an optional window,
+    challenges, binding and tampered flash, and a short trace over
+    addresses of its regions."""
+    bounds = {r.kind: (r.start, r.end) for r in draw(slotted_layouts()).regions}
+    spans = st.sampled_from(sorted(bounds.values()))
+    addrs = spans.flatmap(lambda b: st.integers(*b)) | st.integers(0, 0xFFFF)
+    trace, cycle = [], 0
+    for _ in range(draw(st.integers(0, 8))):
+        cycle += draw(st.integers(1, 3))
+        op = draw(st.sampled_from(["idle", "ren", "wen"]))
+        trace.append({
+            "cycle": cycle, "pc": draw(addrs), "irq": draw(st.booleans()),
+            "ren": op == "ren", "wen": op == "wen", "daddr": draw(addrs),
+            "dma_en": draw(st.booleans()), "dma_addr": draw(addrs),
+            "data": draw(st.integers(0, 0xFF)),
+        })
+    doc = {
+        "layout": {kind.value: [s, e] for kind, (s, e) in bounds.items()},
+        "trace": trace,
+    }
+    if draw(st.booleans()):
+        doc["regions"] = {"flash": "ff"}  # tampered: boot recovers it
+    if draw(st.booleans()):
+        doc["binding"] = draw(st.dictionaries(
+            st.sampled_from([kind.name for kind in ViolationKind]), _ACTION_ENTRIES, max_size=10
+        ))
+    if draw(st.booleans()):
+        lo, hi = bounds[RegionKind.APP_RAM]
+        er_min = draw(st.integers(lo, hi))
+        begin = draw(st.integers(1, cycle + 2))
+        doc["pox"] = {"begin_cycle": begin, "end_cycle": begin + draw(st.integers(0, 6)),
+                      "er_min": er_min, "er_max": draw(st.integers(er_min, hi))}
+    attest = []
+    for lo, hi in draw(st.lists(spans, max_size=2)):
+        start = draw(st.integers(lo, hi))
+        attest.append({"cycle": draw(st.integers(1, cycle + 3)), "nonce": "5a" * 32,
+                       "region_start": start, "region_end": draw(st.integers(start, hi))})
+    if attest:
+        doc["attest"] = attest
+    return doc
+
+
+@given(doc=drawn_layout_docs())
+@example(doc={"layout": {"recovery_rom": ["0x7000", "0x7001"]}})
+@settings(max_examples=150, deadline=None)
+def test_every_accepted_scenario_runs_and_reports(doc):
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except ScenarioError:
+        return  # rejected with a located message; the CLI exits 1
+    report = run(scenario)
+    report.to_json()
+    report.to_text(True)
 
 
 def test_to_json_peak_memory_stays_near_its_output_size():

