@@ -146,8 +146,10 @@ def cmd_attest(args) -> int:
         return ExitStatus.UNRECOVERABLE
     expected = ref_state.region_bytes(start, end)
 
-    # Challenge the device after it has lived through the scenario trace.
-    challenge_cycle = (scenario.trace[-1].cycle + 1) if scenario.trace else 1
+    # Challenge the device one cycle after all the scenario schedules (its last
+    # label, its challenges, its window's end), so the last answer is this one.
+    scheduled = [item.cycle for item in (*scenario.trace[-1:], *scenario.attest_requests)]
+    challenge_cycle = max(scheduled + [scenario.pox.end_cycle if scenario.pox else 0]) + 1
     scenario.attest_requests = list(scenario.attest_requests) + [
         AttestAt(cycle=challenge_cycle, request=request)
     ]

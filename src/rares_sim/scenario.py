@@ -37,21 +37,25 @@ other error names its field.  The trace rows are validated in one loop
 (`_parse_step`), which own each message, so both paths accept the same rows
 and say the same thing.
 
-Run order within one trace cycle: window open or gap close (below) ->
-detection (bits latch the same cycle) -> prevention -> memory effect
-(suppressed under the gate or, for CPU events, while halted) -> window
-close if this is its end cycle -> attestation answers due at this cycle ->
-cycle boundary, where a queued recovery reflashes and a reset requested
-by D10 reboots the device.  Idle cycles between trace labels carry no bus
-activity.  Attestation requests falling in a gap are answered after the
-next processed event, or after the trace ends.
+Unknown keys are rejected at every level: at the top, in trace rows, in
+the golden, pox and attest objects and in binding entries; only
+soft_mode_switch takes a mask.
 
-The proof-of-execution window opens before the first event labelled at or
-after begin_cycle and closes after the event labelled end_cycle, or, when
-end_cycle is idle, in the gap before the first later event: no event after
-end_cycle reaches the window.  After the trace it opens if it never did,
-then closes; an unrecoverable boot or reboot ends the run with neither and
-answers no further challenge.
+Run order within one trace cycle: detection (bits latch the same cycle) ->
+prevention -> memory effect (suppressed under the gate or, for CPU events,
+while halted) -> cycle boundary, where a queued recovery reflashes and a
+reset requested by D10 reboots the device.  Idle cycles between trace
+labels carry no bus activity.
+
+The proof-of-execution window and the challenges share one timeline.  The
+window opens half a cycle before begin_cycle and closes at the end of
+end_cycle; each challenge is answered at the end of its cycle, before that
+cycle's boundary.  At equal times a close comes before answers, and answers
+keep document order.  One rule serves the timeline: before each event, the
+items timed before it; after the event, those timed at its cycle; after the
+trace, the rest.  So no answer sees an event labelled after its cycle, and
+no event after end_cycle reaches the window.  An unrecoverable boot or
+reboot ends the run and serves nothing more.
 """
 
 from __future__ import annotations
@@ -59,6 +63,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields
+from functools import partial
+from operator import itemgetter
 
 from .attestation import (
     NONCE_SIZE,
@@ -204,6 +210,12 @@ def _parse_flag(obj: dict, key: str, where: str) -> bool:
     return value
 
 
+def _check_fields(obj: dict, known, where: str) -> None:
+    unknown = set(obj) - known
+    if unknown:
+        raise ScenarioSemanticError(f"{where}: unknown fields {', '.join(sorted(unknown))}")
+
+
 def _parse_cycle(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ScenarioSemanticError(f"{where}: cycle must be a positive integer")
@@ -217,6 +229,10 @@ _ACTION_NAMES = {
 }
 
 _TOP_KEYS = {"name", "layout", "key", "golden", "regions", "binding", "pox", "attest", "trace"}
+_GOLDEN_KEYS = {"image", "reference_digest"}
+_BINDING_KEYS = {"action", "mask"}
+_POX_KEYS = {"begin_cycle", "end_cycle", "er_min", "er_max"}
+_ATTEST_KEYS = {"cycle", "nonce", "region_start", "region_end"}
 # A trace row's fields and the values they default to ("cycle" has none), in
 # the order `_parse_trace` unpacks them.
 _TRACE_DEFAULTS = {
@@ -262,6 +278,7 @@ def _parse_binding(obj) -> PreventionBinding:
         if isinstance(entry, str):
             action_name, mask = entry, None
         elif isinstance(entry, dict):
+            _check_fields(entry, _BINDING_KEYS, f"binding.{name}")
             action_name = entry.get("action")
             mask = entry.get("mask")
         else:
@@ -273,10 +290,12 @@ def _parse_binding(obj) -> PreventionBinding:
                 overrides[kind] = soft_mode_switch()
             else:
                 overrides[kind] = soft_mode_switch(_parse_addr(mask, f"binding.{name}.mask"))
-        elif action_name in _ACTION_NAMES:
-            overrides[kind] = _ACTION_NAMES[action_name]
-        else:
+        elif action_name not in _ACTION_NAMES:
             raise ScenarioSemanticError(f"binding.{name}: unknown action {action_name!r}")
+        elif mask is not None:
+            raise ScenarioSemanticError(f"binding.{name}.mask: only soft_mode_switch takes a mask")
+        else:
+            overrides[kind] = _ACTION_NAMES[action_name]
     return binding.with_overrides(overrides)
 
 
@@ -321,6 +340,7 @@ def parse_scenario(text: str) -> Scenario:
     golden_obj = obj.get("golden", {})
     if not isinstance(golden_obj, dict):
         raise ScenarioSemanticError("golden: expected an object")
+    _check_fields(golden_obj, _GOLDEN_KEYS, "golden")
     image = _region_fill(
         _parse_hex(golden_obj.get("image", ""), "golden.image"), flash_size, "golden.image"
     )
@@ -364,6 +384,7 @@ def parse_scenario(text: str) -> Scenario:
         pobj = obj["pox"]
         if not isinstance(pobj, dict):
             raise ScenarioSemanticError("pox: expected an object")
+        _check_fields(pobj, _POX_KEYS, "pox")
         pox = PoxWindow(
             begin_cycle=_parse_cycle(pobj.get("begin_cycle"), "pox.begin_cycle"),
             end_cycle=_parse_cycle(pobj.get("end_cycle"), "pox.end_cycle"),
@@ -385,6 +406,7 @@ def parse_scenario(text: str) -> Scenario:
         where = f"attest[{i}]"
         if not isinstance(aobj, dict):
             raise ScenarioSemanticError(f"{where}: expected an object")
+        _check_fields(aobj, _ATTEST_KEYS, where)
         nonce = _parse_hex(aobj.get("nonce", ""), f"{where}.nonce")
         if len(nonce) != NONCE_SIZE:
             raise ScenarioSemanticError(f"{where}.nonce: must be {NONCE_SIZE} bytes")
@@ -398,7 +420,6 @@ def parse_scenario(text: str) -> Scenario:
                 request=AttestRequest(nonce=nonce, region_start=start, region_end=end),
             )
         )
-    attest_requests.sort(key=lambda a: a.cycle)
 
     raw_trace = obj.get("trace", [])
     if not isinstance(raw_trace, list):
@@ -423,9 +444,7 @@ def _parse_step(tobj, where: str, last_cycle: int) -> TraceStep:
     trace-row message: raises the row's located error or builds it."""
     if not isinstance(tobj, dict):
         raise ScenarioSemanticError(f"{where}: expected an object")
-    unknown = set(tobj) - _TRACE_DEFAULTS.keys()
-    if unknown:
-        raise ScenarioSemanticError(f"{where}: unknown fields {', '.join(sorted(unknown))}")
+    _check_fields(tobj, _TRACE_DEFAULTS.keys(), where)
     cycle = _parse_cycle(tobj.get("cycle"), f"{where}.cycle")
     if cycle <= last_cycle:
         raise ScenarioSemanticError(f"{where}.cycle: non-monotone cycle {cycle}")
@@ -844,14 +863,31 @@ def run(scenario: Scenario) -> RunReport:
     boot = fsbl_boot(state)
     report = RunReport(scenario_name=scenario.name, boot=boot)
 
+    # The timeline of the module docstring, in half-cycle ticks: tick 2c ends
+    # cycle c.  The stable sort puts a close before the answers timed with it
+    # and keeps answers in document order; `schedule` runs latest first,
+    # behind a sentinel that is never served.
     pox = scenario.pox
-    # the window's two sentinel cycles; math.inf when there is none or once served
-    begin_at = end_at = math.inf
-    if pox is not None:
-        begin_at, end_at = pox.begin_cycle, pox.end_cycle
-    pending = scenario.attest_requests
-    next_attest = 0
-    next_due = pending[0].cycle if pending else math.inf
+    timeline = [] if pox is None else [
+        (2 * pox.begin_cycle - 1, partial(pox_begin, state, pox.er_min, pox.er_max)),
+        (2 * pox.end_cycle, partial(pox_end, state)),
+    ]
+
+    def answer(entry: AttestAt) -> None:
+        report.attest_answers.append(
+            AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
+        )
+
+    timeline += [(2 * entry.cycle, partial(answer, entry)) for entry in scenario.attest_requests]
+    schedule = [(math.inf, None), *sorted(timeline, key=itemgetter(0))[::-1]]
+
+    def serve(until):
+        """Serve the items timed before tick `until`; return the next one's tick."""
+        while schedule[-1][0] < until:
+            schedule.pop()[1]()
+        return schedule[-1][0]
+
+    next_at = schedule[-1][0]
     binding = scenario.binding
     ctrl = state.ctrl
     rows = report.rows
@@ -862,12 +898,9 @@ def run(scenario: Scenario) -> RunReport:
     for step_rec in steps:
         label = step_rec.cycle
         event = step_rec.event
-        if label >= begin_at:
-            pox_begin(state, pox.er_min, pox.er_max)
-            begin_at = math.inf
-        if label > end_at:  # the end cycle was idle: the window closed in the gap
-            pox_end(state)
-            end_at = math.inf
+        tick = 2 * label
+        if next_at < tick:
+            next_at = serve(tick)
 
         # idle gap cycles carry no bus activity; land the step on its label
         state.cycle = label - 1
@@ -897,17 +930,8 @@ def run(scenario: Scenario) -> RunReport:
             CycleRow(label, event, step_rec.data, violations, ctrl_after, actions, mem_effect)
         )
 
-        if label == end_at:
-            pox_end(state)
-            end_at = math.inf
-
-        while label >= next_due:
-            entry = pending[next_attest]
-            next_attest += 1
-            report.attest_answers.append(
-                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
-            )
-            next_due = pending[next_attest].cycle if next_attest < len(pending) else math.inf
+        if next_at <= tick:
+            next_at = serve(tick + 1)
 
         if state.recovery_queued:
             reflash(state)
@@ -925,14 +949,7 @@ def run(scenario: Scenario) -> RunReport:
     if boot.outcome is BootOutcome.UNRECOVERABLE:
         report.exit_class = "unrecoverable"
     else:
-        if begin_at < math.inf:
-            pox_begin(state, pox.er_min, pox.er_max)
-        if end_at < math.inf:
-            pox_end(state)
-        for entry in pending[next_attest:]:
-            report.attest_answers.append(
-                AttestAnswer(entry.cycle, entry.request, attest(state, entry.request))
-            )
+        serve(math.inf)
         report.exit_class = "violations" if pre_clear & DETECT_MASK else "clean"
     _finalize(report, state)
     return report

@@ -126,6 +126,35 @@ def test_attest_require_exec(capsys):
     assert code == ExitStatus.VIOLATIONS
 
 
+def test_attest_challenge_comes_after_a_later_scenario_challenge(capsys, tmp_path):
+    # the scenario's own challenge at cycle 100 lies past its last label; the
+    # CLI challenge must still be the last one answered
+    path = tmp_path / "late.rares.json"
+    path.write_text(json.dumps({
+        "trace": [{"cycle": 1, "pc": "0x4000"}],
+        "attest": [{"cycle": 100, "nonce": "cd" * 32, "region_start": "0x4000",
+                    "region_end": "0x400F"}],
+    }))
+    code, out, _ = invoke(capsys, "attest", str(path), "--nonce", NONCE_HEX)
+    assert code == ExitStatus.OK
+    assert "verdict: pass" in out
+
+
+def test_attest_challenge_comes_after_a_window_that_outlasts_the_trace(capsys, tmp_path):
+    path = tmp_path / "window.rares.json"
+    path.write_text(json.dumps({
+        "pox": {"begin_cycle": 1, "end_cycle": 8, "er_min": "0x4000", "er_max": "0x40FF"},
+        "trace": [{"cycle": 1, "pc": "0x4000"}, {"cycle": 2, "pc": "0x4002"}],
+    }))
+    code, out, _ = invoke(capsys, "attest", str(path), "--nonce", NONCE_HEX, "--require-exec")
+    assert code == ExitStatus.OK
+    assert out == (
+        "attest: region=0x4000-0x5FFF exec_flag=true er=0x4000-0x40FF\n"
+        "tag: 5b142adc9dee84256ede69e843e3c0d80fa313aee0d6609411f7688be3c6c81f\n"
+        "verdict: pass\n"
+    )
+
+
 def test_attest_bad_nonce(capsys):
     path = str(SCENARIO_DIR / "benign.rares.json")
     code, _, err = invoke(capsys, "attest", path, "--nonce", "zz")

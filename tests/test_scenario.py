@@ -101,6 +101,15 @@ def test_bad_json_reports_position():
          r"trace\[0\]\.pc: address -0x1 outside 16-bit space"),
         ('{"trace": [{"cycle": 1, "pc": "-0x1"}]}',
          r"trace\[0\]\.pc: address -0x1 outside 16-bit space"),
+        ('{"golden": {"imgae": "deadbeef"}}', r"golden: unknown fields imgae"),
+        ('{"pox": {"begin_cycle": 1, "end_cycle": 2, "er_min": "0x4000", "er_max": "0x40FF",'
+         ' "end": 3}}', r"pox: unknown fields end"),
+        ('{"attest": [{"cycle": 1, "nonce": "' + "aa" * 32 + '", "region_start": "0x4000",'
+         ' "region_end": "0x400F", "cyc": 2}]}', r"attest\[0\]: unknown fields cyc"),
+        ('{"binding": {"IRQ_RAM": {"action": "soft_mode_switch", "maks": "0x00F0"}}}',
+         r"binding\.IRQ_RAM: unknown fields maks"),
+        ('{"binding": {"IRQ_RAM": {"action": "hard_cpu_off", "mask": "0x00F0"}}}',
+         r"binding\.IRQ_RAM\.mask: only soft_mode_switch takes a mask"),
     ],
 )
 def test_semantic_errors(text, match):
@@ -462,8 +471,10 @@ _NO_ACTIONS = {kind.name: "none" for kind in ViolationKind}
 @st.composite
 def pox_docs(draw):
     """Scenario documents with a window inside 0x4000-0x40FF, gapped labels,
-    pcs inside and outside the window, no bound action (so nothing resets)
-    and one challenge after the last label."""
+    pcs inside and outside the window, CPU writes into the attested range
+    0x4000-0x400F, no bound action (so nothing resets) and one challenge
+    drawn anywhere: before, inside or after the window, in a gap, or past
+    the trace."""
     er_min = draw(st.integers(0x4000, 0x40FF))
     er_max = draw(st.integers(er_min, 0x40FF))
     inside = st.integers(er_min, er_max)
@@ -473,19 +484,32 @@ def pox_docs(draw):
     trace, cycle = [], 0
     for _ in range(draw(st.integers(0, 12))):
         cycle += draw(st.integers(1, 4))
-        trace.append({
-            "cycle": cycle, "pc": draw(pcs), "irq": draw(st.integers(0, 7)) == 0,
-            "ren": draw(st.booleans()), "daddr": draw(_addr_pool),
-        })
+        row = {"cycle": cycle, "pc": draw(pcs), "irq": draw(st.integers(0, 7)) == 0}
+        op = draw(st.sampled_from(["ren", "wen", None]))
+        if op == "wen":
+            row.update(wen=True, daddr=draw(st.integers(0x4000, 0x400F) | _addr_pool),
+                       data=draw(st.integers(0, 0xFF)))
+        else:
+            row.update(ren=op == "ren", daddr=draw(_addr_pool))
+        trace.append(row)
     begin = draw(st.integers(1, cycle + 2))
+    end = begin + draw(st.integers(0, 5))
     return {
         "binding": _NO_ACTIONS,
-        "pox": {"begin_cycle": begin, "end_cycle": begin + draw(st.integers(0, 5)),
-                "er_min": er_min, "er_max": er_max},
-        "attest": [{"cycle": cycle + 1, "nonce": "66" * 32, "region_start": "0x4000",
-                    "region_end": "0x400F"}],
+        "pox": {"begin_cycle": begin, "end_cycle": end, "er_min": er_min, "er_max": er_max},
+        "attest": [{"cycle": draw(st.integers(1, max(cycle, end) + 3)), "nonce": "66" * 32,
+                    "region_start": "0x4000", "region_end": "0x400F"}],
         "trace": trace,
     }
+
+
+def cut_after(doc, cycle):
+    """The document with its trace cut after `cycle`."""
+    return {**doc, "trace": [row for row in doc["trace"] if row["cycle"] <= cycle]}
+
+
+def answer_of(doc):
+    return run(parse_scenario(json.dumps(doc))).attest_answers[0].report
 
 
 @given(doc=pox_docs())
@@ -499,13 +523,33 @@ def pox_docs(draw):
 })
 @settings(max_examples=300, deadline=None)
 def test_no_event_after_the_window_end_reaches_the_window(doc):
-    end = doc["pox"]["end_cycle"]
-    truncated = {**doc, "trace": [ev for ev in doc["trace"] if ev["cycle"] <= end]}
-    flags = [
-        run(parse_scenario(json.dumps(d))).attest_answers[0].report.exec_flag
-        for d in (doc, truncated)
-    ]
-    assert flags[0] == flags[1]
+    report = answer_of(doc)
+    # the answer describes the device at its cycle: nothing labelled later
+    # reaches it, neither the flag and bounds nor the tag
+    assert report == answer_of(cut_after(doc, doc["attest"][0]["cycle"]))
+    # and nothing labelled after the window's end reaches the window
+    assert report.exec_flag == answer_of(cut_after(doc, doc["pox"]["end_cycle"])).exec_flag
+
+
+def test_challenge_at_an_idle_cycle_does_not_see_a_later_write():
+    doc = {
+        "attest": [{"cycle": 5, "nonce": "77" * 32, "region_start": "0x4000",
+                    "region_end": "0x400F"}],
+        "trace": [{"cycle": 1, "pc": "0x4000"},
+                  {"cycle": 10, "pc": "0x4002", "wen": True, "daddr": "0x4001", "data": "0xAA"}],
+    }
+    assert answer_of(doc) == answer_of(cut_after(doc, 5))
+
+
+def test_challenge_before_the_window_opens_carries_no_proof():
+    # the window opens at cycle 5, after the challenge, and no code ran in it
+    report = answer_of({
+        "pox": {"begin_cycle": 5, "end_cycle": 9, "er_min": "0x4000", "er_max": "0x40FF"},
+        "attest": [{"cycle": 3, "nonce": "88" * 32, "region_start": "0x4000",
+                    "region_end": "0x400F"}],
+        "trace": [{"cycle": 1, "pc": "0x4000"}, {"cycle": 2, "pc": "0x4002"}],
+    })
+    assert report.exec_flag is False
 
 
 # -- JSON report writer ---------------------------------------------------------
