@@ -215,6 +215,18 @@ class DeviceState:
         self.mem: dict[RegionKind, bytearray] = {
             r.kind: bytearray(r.size) for r in layout.regions
         }
+        # `apply_write`'s view of the map, indexed by `layout.index` code:
+        # None for the gap, else (buffer, region start) with no buffer for
+        # the ROMs and the metadata view.  The buffers are only ever changed
+        # in place, so the view never goes stale.
+        read_only = ROM_KINDS | {RegionKind.METADATA}
+        self._write_targets = tuple(
+            None if region is None else (
+                None if region.kind in read_only else self.mem[region.kind],
+                region.start,
+            )
+            for region in layout._by_code
+        )
         self.ctrl = CtrlRegister()
         self.r2 = ModeRegister()
         self.cpu_halted = False
@@ -273,7 +285,7 @@ class DeviceState:
         """Contents of [start, end] inclusive; bounds must share one region."""
         region = self.layout.span(start, end)
         if region is None:
-            raise ValueError(f"range 0x{start:04X}-0x{end:04X} not within one region")
+            raise ValueError(f"range {addr_text(start)}-{addr_text(end)} not within one region")
         if region.kind is RegionKind.METADATA:
             self.sync_metadata()
         return bytes(self.mem[region.kind][start - region.start:end - region.start + 1])
@@ -314,11 +326,11 @@ def apply_write(state: DeviceState, addr: int, byte: int) -> WriteResult:
     """
     if not 0 <= byte <= 0xFF:
         raise ValueError(f"byte value {byte!r} out of range")
-    region = state.layout.span(addr, addr)
-    if region is None:
-        raise UnmappedAddressError(f"0x{addr:04X}")
-    kind = region.kind
-    if state.recovery_queued or kind in ROM_KINDS or kind is RegionKind.METADATA:
+    target = state._write_targets[state.layout.index[addr]] if 0 <= addr <= ADDR_MASK else None
+    if target is None:
+        raise UnmappedAddressError(addr_text(addr))
+    buf, start = target
+    if buf is None or state.recovery_queued:
         return WriteResult.SUPPRESSED
-    state.mem[kind][addr - region.start] = byte
+    buf[addr - start] = byte
     return WriteResult.APPLIED

@@ -9,7 +9,10 @@ the offending access for as long as its onboard recovery is queued
 
 When several bound actions fire in one cycle the strongest wins
 (reset > gate+recover > cpu-off > mode switch > none); every bound action is
-still logged.
+still logged.  The outcome depends only on the binding and the cycle's
+10-bit violation mask, so each binding compiles a mask into its plan once,
+the first time the mask occurs, and every later cycle with that mask reads
+it back.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import IntEnum
 
-from .detector import RESET_MASK, CtrlRegister, ViolationKind
+from .detector import MASK_KINDS, RESET_MASK, CtrlRegister, ViolationKind
 from .memory import DeviceState
 
 # r2 status word named bits
@@ -97,6 +100,7 @@ class PreventionBinding:
             names = ", ".join(sorted(k.name for k in missing))
             raise ValueError(f"binding must cover every kind; missing {names}")
         self._actions = dict(actions)
+        self._plans: dict[int, tuple[tuple[ActionRecord, ...], ActionKind, int]] = {}
 
     def action_for(self, kind: ViolationKind) -> PreventionAction:
         return self._actions[kind]
@@ -107,6 +111,32 @@ class PreventionBinding:
         merged = dict(self._actions)
         merged.update(overrides)
         return PreventionBinding(merged)
+
+    def plan(self, mask: int) -> tuple[tuple[ActionRecord, ...], ActionKind, int]:
+        """What a cycle with violation mask `mask` does: its records in bit
+        order, the strongest bound kind, and the OR of the soft-mode masks
+        that win (0 unless a soft mode switch is strongest).
+
+        Built on the first call for each mask and cached; the records are
+        frozen, so every row with this mask shares them.
+        """
+        plan = self._plans.get(mask)
+        if plan is None:
+            bound = [(kind, self._actions[kind]) for kind in MASK_KINDS[mask]]
+            strongest = max((action.kind for _, action in bound), default=ActionKind.NONE)
+            live = strongest is not ActionKind.NONE
+            records = tuple(
+                ActionRecord(kind, action, applied=live and action.kind is strongest)
+                for kind, action in bound
+            )
+            soft = 0
+            if strongest is ActionKind.SOFT_MODE_SWITCH:
+                # several masks may share the top precedence; OR them all in
+                for _, action in bound:
+                    if action.kind is ActionKind.SOFT_MODE_SWITCH:
+                        soft |= action.mask
+            plan = self._plans[mask] = (records, strongest, soft)
+        return plan
 
 
 def default_binding() -> PreventionBinding:
@@ -145,28 +175,21 @@ def apply_prevention(
     CPU-off sets `cpu_halted` (DMA and peripherals stay usable); gate+recover
     sets `recovery_queued`, the raised chip-enable gate, which suppresses the
     offending access in this same cycle; reset latches D10, the reset
-    request.  Subsumed actions are logged with applied=False.
+    request.  Subsumed actions are logged with applied=False.  Arbitration
+    is the binding's cached `plan` for the violation mask.
     """
-    records: list[ActionRecord] = []
-    if not violations:
-        return records
-    bound = [
-        (kind, binding.action_for(kind))
-        for kind in sorted(violations, key=lambda k: k.value)
-    ]
-    strongest = max(action.kind for _, action in bound)
-    for kind, action in bound:
-        applied = action.kind is strongest and strongest is not ActionKind.NONE
-        records.append(ActionRecord(violation=kind, action=action, applied=applied))
-    if strongest is ActionKind.SOFT_MODE_SWITCH:
-        # several masks may share the top precedence; OR them all in
-        for _, action in bound:
-            if action.kind is ActionKind.SOFT_MODE_SWITCH:
-                state.r2 = mode_switch(state.r2, action.mask)
-    elif strongest is ActionKind.HARD_CPU_OFF:
-        state.cpu_halted = True
-    elif strongest is ActionKind.CHIP_GATE_AND_RECOVER:
+    mask = 0
+    for kind in violations:
+        mask |= 1 << kind._value_  # `.value` without the enum descriptor call
+    if not mask:
+        return []
+    records, strongest, soft = binding.plan(mask)
+    if strongest is ActionKind.CHIP_GATE_AND_RECOVER:
         state.recovery_queued = True
     elif strongest is ActionKind.SYSTEM_RESET:
         state.ctrl.latch(RESET_MASK)
-    return records
+    elif strongest is ActionKind.HARD_CPU_OFF:
+        state.cpu_halted = True
+    elif strongest is ActionKind.SOFT_MODE_SWITCH:
+        state.r2 = mode_switch(state.r2, soft)
+    return list(records)

@@ -603,20 +603,14 @@ class RunReport:
     final_digests: dict[str, str] = field(default_factory=dict)
     exit_class: str = "clean"  # clean | violations | unrecoverable
 
-    def _fields(self, rows) -> dict:
-        """The report sections of `to_dict`, with the caller's `rows` value."""
+    def _fields(self, rows, recovery_events) -> dict:
+        """The report sections of `to_dict`, with the caller's `rows` and
+        `recovery_events` values."""
         return {
             "scenario": self.scenario_name,
             "boot": _boot_to_dict(self.boot),
             "rows": rows,
-            "recovery_events": [
-                {
-                    "after_cycle": ev.after_cycle,
-                    "kind": ev.kind,
-                    "boot": _boot_to_dict(ev.boot) if ev.boot else None,
-                }
-                for ev in self.recovery_events
-            ],
+            "recovery_events": recovery_events,
             "attest_reports": [
                 {"cycle": ans.cycle, **_attest_to_dict(ans.request, ans.report)}
                 for ans in self.attest_answers
@@ -632,24 +626,30 @@ class RunReport:
         }
 
     def to_dict(self) -> dict:
-        return self._fields([_row_to_dict(r) for r in self.rows])
+        return self._fields(
+            [_row_to_dict(r) for r in self.rows],
+            [_recovery_to_dict(ev) for ev in self.recovery_events],
+        )
 
     def to_json(self) -> str:
         """Machine form; byte-identical across repeated runs.
 
         Equal to ``json.dumps(self.to_dict(), sort_keys=True, indent=2) +
-        "\\n"``, but the rows are written straight from the CycleRow objects
-        by `_row_json` rather than built as dicts; the other sections go
+        "\\n"``, but the rows and the recovery events are written straight
+        from the CycleRow and RecoveryEvent objects by `_rows_json` and
+        `_events_json` rather than built as dicts; the other sections go
         through `json.dumps`, indented one level.  Every fragment goes into
         one list that is joined once, so the text is built without
         intermediate copies of the rows.
         """
-        fields = self._fields(None)
+        fields = self._fields(None, None)
         out = ["{\n"]
         for key in sorted(fields):
             out.append(f'  "{key}": ')
             if key == "rows":
                 _rows_json(self.rows, out)
+            elif key == "recovery_events":
+                _events_json(self.recovery_events, out)
             else:
                 out.append(json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", "\n  "))
             out.append(",\n")
@@ -693,6 +693,14 @@ def _boot_to_dict(boot: BootReport) -> dict:
             {"computed": computed.hex(), "reference": reference.hex()}
             for computed, reference in boot.digests
         ],
+    }
+
+
+def _recovery_to_dict(ev: RecoveryEvent) -> dict:
+    return {
+        "after_cycle": ev.after_cycle,
+        "kind": ev.kind,
+        "boot": None if ev.boot is None else _boot_to_dict(ev.boot),
     }
 
 
@@ -826,6 +834,51 @@ def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
             bits = _json_names(decode_bits(value), "      ")
             ctrl = ctrl_texts[value] = f'"0x{value:04X}",\n      "ctrl_bits": {bits}'
         out.append(_row_json(row, ctrl, sep))
+        sep = ",\n"
+    out.append("\n  ]")
+
+
+def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
+    """Append the "recovery_events" list to `out`, each event exactly as
+    `json.dumps(_recovery_to_dict(ev), sort_keys=True, indent=2)` writes it
+    as an element of a top-level list.
+
+    Event kinds and boot outcomes are fixed ASCII words and the digests
+    hex, so nothing needs escaping.
+    """
+    if not events:
+        out.append("[]")
+        return
+    sep = "[\n"
+    for ev in events:
+        boot = ev.boot
+        if boot is None:
+            boot_text = "null"
+        else:
+            digests = "[]"
+            if boot.digests:
+                items = ",\n".join(
+                    "          {\n"
+                    f'            "computed": "{computed.hex()}",\n'
+                    f'            "reference": "{reference.hex()}"\n'
+                    "          }"
+                    for computed, reference in boot.digests
+                )
+                digests = f"[\n{items}\n        ]"
+            boot_text = (
+                "{\n"
+                f'        "attempts": {boot.attempts},\n'
+                f'        "digests": {digests},\n'
+                f'        "outcome": "{boot.outcome.value}"\n'
+                "      }"
+            )
+        out.append(
+            f"{sep}    {{\n"
+            f'      "after_cycle": {ev.after_cycle},\n'
+            f'      "boot": {boot_text},\n'
+            f'      "kind": "{ev.kind}"\n'
+            "    }"
+        )
         sep = ",\n"
     out.append("\n  ]")
 

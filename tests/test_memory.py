@@ -1,8 +1,13 @@
 """Region map validation, address classification, and the write backbone."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from conftest import slotted_layouts
 
 from rares_sim.attestation import (
     AttestRequest,
@@ -31,6 +36,7 @@ from rares_sim.memory import (
     build_layout,
 )
 from rares_sim.prevention import apply_prevention, default_binding
+from rares_sim.scenario import parse_scenario, run
 from rares_sim.secureboot import reflash
 
 
@@ -240,6 +246,78 @@ def test_write_then_read_back(make_state, addr, byte):
     state = make_state()
     apply_write(state, addr, byte)
     assert state.read_byte(addr) == byte
+
+
+@pytest.mark.parametrize("addr,text", [(-1, "-0x1"), (0x10000, "0x10000")])
+def test_out_of_range_addresses_are_named_with_their_sign(state, addr, text):
+    with pytest.raises(UnmappedAddressError) as err:
+        apply_write(state, addr, 0x01)
+    assert err.value.args == (text,)
+    with pytest.raises(ValueError, match=f"^range {text}-0x4000 not within one region$"):
+        state.region_bytes(addr, 0x4000)
+
+
+def _contents(state):
+    return {kind: bytes(buf) for kind, buf in state.mem.items()}
+
+
+@given(layout=slotted_layouts(), byte=st.integers(0, 0xFF))
+@settings(max_examples=100, deadline=None)
+def test_apply_write_matches_linear_scan(layout, byte):
+    # both ends of every region, the gaps next to them, and both sides of
+    # the address space, each against the linear-scan oracle
+    probes = {-1, 0x10000}
+    for region in layout.regions:
+        probes |= {region.start - 1, region.start, region.end, region.end + 1}
+    state = DeviceState(layout)
+    for addr in sorted(probes):
+        kind = classify_linear(layout.regions, addr)
+        before = _contents(state)
+        if kind is None:
+            with pytest.raises(UnmappedAddressError):
+                apply_write(state, addr, byte)
+            assert _contents(state) == before
+            continue
+        result = apply_write(state, addr, byte)
+        if kind in ROM_KINDS or kind is RegionKind.METADATA:
+            assert result is WriteResult.SUPPRESSED
+            assert _contents(state) == before
+        else:
+            assert result is WriteResult.APPLIED
+            offset = addr - layout.region(kind).start
+            buf = before[kind]
+            before[kind] = buf[:offset] + bytes([byte]) + buf[offset + 1:]
+            assert _contents(state) == before
+
+
+def test_writes_after_reflash_and_reset_land_in_live_flash(make_state):
+    state = make_state()
+    flash = state.layout.region(RegionKind.FLASH)
+    reflash(state)
+    assert apply_write(state, flash.start + 3, 0xA5) is WriteResult.APPLIED
+    assert state.read_byte(flash.start + 3) == 0xA5
+    assert state.flash_bytes()[3] == 0xA5
+
+    # through the runner: a write tampers flash, an interrupt in app RAM
+    # resets and the reboot reflashes, a DMA key-ROM read gates and
+    # reflashes; the write after each recovery must be in the final flash
+    trace = [
+        {"cycle": 1, "pc": "0x4000", "wen": True, "daddr": "0xE000", "data": "0x11"},
+        {"cycle": 2, "pc": "0x4000", "irq": True},
+        {"cycle": 3, "pc": "0x4000", "wen": True, "daddr": "0xE001", "data": "0x22"},
+        {"cycle": 4, "pc": "0x4000", "ren": True, "dma_en": True, "dma_addr": "0x6A00"},
+        {"cycle": 5, "pc": "0x4000", "wen": True, "daddr": "0xE002", "data": "0x33"},
+    ]
+    report = run(parse_scenario(json.dumps({"golden": {"image": "00"}, "trace": trace})))
+    assert [(ev.after_cycle, ev.kind) for ev in report.recovery_events] == [
+        (2, "reset"), (4, "reflash")
+    ]
+    assert [row.mem_effect for row in report.rows] == [
+        "applied", "none", "applied", "none", "applied"
+    ]
+    expected = bytearray(flash.size)
+    expected[2] = 0x33
+    assert report.final_digests["flash"] == hashlib.sha256(expected).hexdigest()
 
 
 # -- provisioning and the metadata mirror ---------------------------------

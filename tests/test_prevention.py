@@ -197,8 +197,8 @@ def test_detection_keeps_running_while_halted(state):
 
 
 _actions = st.sampled_from(
-    [NO_ACTION, soft_mode_switch(), HARD_CPU_OFF, CHIP_GATE_AND_RECOVER, SYSTEM_RESET]
-)
+    [NO_ACTION, HARD_CPU_OFF, CHIP_GATE_AND_RECOVER, SYSTEM_RESET]
+) | st.builds(soft_mode_switch, st.integers(0, 0xFFFF))
 
 
 @given(
@@ -211,6 +211,7 @@ def test_applied_records_are_exactly_the_strongest(make_state, kinds, table):
     before = _marks(state)
     records = apply_prevention(state, kinds, binding)
     assert [r.violation for r in records] == sorted(kinds, key=lambda k: k.value)
+    assert [r.action for r in records] == [table[r.violation] for r in records]
     strongest = max(table[k].kind for k in kinds)
     for record in records:
         expected = record.action.kind is strongest and strongest is not ActionKind.NONE
@@ -218,4 +219,36 @@ def test_applied_records_are_exactly_the_strongest(make_state, kinds, table):
     # the winner changes exactly its own mark and leaves the other three
     after = _marks(state)
     changed = [i for i in range(4) if after[i] != before[i]]
-    assert changed == ([] if strongest is ActionKind.NONE else [_MARK_OF[strongest]])
+    soft = 0
+    if strongest is ActionKind.SOFT_MODE_SWITCH:
+        for kind in kinds:
+            if table[kind].kind is ActionKind.SOFT_MODE_SWITCH:
+                soft |= table[kind].mask
+    assert state.r2.value == soft  # the OR of the winning masks, from r2 = 0
+    marked = strongest is not ActionKind.NONE and (
+        strongest is not ActionKind.SOFT_MODE_SWITCH or soft
+    )
+    assert changed == ([_MARK_OF[strongest]] if marked else [])
+
+
+def test_plan_is_built_once_per_mask_and_not_inherited(make_state):
+    binding = default_binding()
+    plan = binding.plan(V.IRQ_RAM.mask | V.CPU_ROM_RD.mask)
+    assert binding.plan(V.IRQ_RAM.mask | V.CPU_ROM_RD.mask) is plan
+    first = apply_prevention(make_state(), {V.CPU_ROM_RD, V.IRQ_RAM}, binding)
+    again = apply_prevention(make_state(), {V.IRQ_RAM, V.CPU_ROM_RD}, binding)
+    assert first == again == list(plan[0])
+    assert all(a is b for a, b in zip(first, again))  # the plan's records, shared
+    assert plan[1] is ActionKind.SYSTEM_RESET and plan[2] == 0
+
+    # a derived binding starts with no plans: its override must show up
+    derived = binding.with_overrides({V.IRQ_RAM: soft_mode_switch(0x0010)})
+    state = make_state()
+    records = apply_prevention(state, {V.CPU_ROM_RD, V.IRQ_RAM}, derived)
+    assert [(r.violation, r.action, r.applied) for r in records] == [
+        (V.IRQ_RAM, soft_mode_switch(0x0010), False),
+        (V.CPU_ROM_RD, HARD_CPU_OFF, True),
+    ]
+    assert _marks(state) == (0, True, False, 0)
+    # and the parent keeps its own plan
+    assert binding.plan(V.IRQ_RAM.mask | V.CPU_ROM_RD.mask) is plan

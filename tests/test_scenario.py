@@ -2,6 +2,7 @@
 
 import gc
 import hashlib
+import hmac
 import json
 import tracemalloc
 
@@ -616,6 +617,50 @@ def scenario_docs(draw):
     return doc
 
 
+_FLASH_WRITE = {"cycle": 1, "pc": "0x4000", "wen": True, "daddr": "0xE005", "data": "0x5A"}
+_IRQ_IN_APP = {"cycle": 2, "pc": "0x4000", "irq": True}  # IRQ_RAM: system reset
+_TAMPERED_FLASH = bytes.fromhex("ff22") + bytes(0x800 - 2)
+# Documents for the recovery-event paths of the JSON writer.
+RECOVERY_DOCS = {
+    # an applied flash write, then a reset whose reboot recovers: two digests
+    "reset_recovers": {"golden": {"image": "00"}, "trace": [_FLASH_WRITE, _IRQ_IN_APP]},
+    # the reference digest matches the flash, not the golden image: power-on
+    # boot is clean, and the reboot after the write cannot recover
+    "reset_unrecoverable": {
+        "golden": {
+            "image": "1122",
+            "reference_digest": hmac.new(DEFAULT_KEY, _TAMPERED_FLASH, hashlib.sha256).hexdigest(),
+        },
+        "regions": {"flash": "ff22"},
+        "trace": [_FLASH_WRITE, _IRQ_IN_APP],
+    },
+    # a DMA key-ROM read gates and reflashes, then a reset reboots
+    "reflash_then_reset": {"trace": [
+        {"cycle": 1, "pc": "0x4000", "ren": True, "dma_en": True, "dma_addr": "0x6A00"},
+        _IRQ_IN_APP,
+    ]},
+}
+
+
+def test_recovery_docs_reach_their_paths():
+    def events(name):
+        report = run(parse_scenario(json.dumps(RECOVERY_DOCS[name])))
+        return report, [
+            (ev.after_cycle, ev.kind, ev.boot and ev.boot.outcome, ev.boot and len(ev.boot.digests))
+            for ev in report.recovery_events
+        ]
+
+    report, evs = events("reset_recovers")
+    assert report.rows[0].mem_effect == "applied"
+    assert evs == [(2, "reset", BootOutcome.RECOVERED_THEN_VERIFIED, 2)]
+    report, evs = events("reset_unrecoverable")
+    assert report.boot.outcome is BootOutcome.VERIFIED_CLEAN
+    assert report.rows[0].mem_effect == "applied"
+    assert evs == [(2, "reset", BootOutcome.UNRECOVERABLE, 2)]
+    _, evs = events("reflash_then_reset")
+    assert evs == [(1, "reflash", None, None), (2, "reset", BootOutcome.VERIFIED_CLEAN, 1)]
+
+
 @given(doc=scenario_docs())
 @example(doc={})  # empty trace
 @example(doc={  # two actions in one row; the reset's recovery event carries a reboot
@@ -623,6 +668,9 @@ def scenario_docs(draw):
     "binding": {"CPU_RAM_RD": {"action": "soft_mode_switch", "mask": 4}},
     "trace": [{"cycle": 1, "pc": "0x6000", "irq": True, "ren": True, "daddr": "0x4000"}],
 })
+@example(doc=RECOVERY_DOCS["reset_recovers"])
+@example(doc=RECOVERY_DOCS["reset_unrecoverable"])
+@example(doc=RECOVERY_DOCS["reflash_then_reset"])
 @settings(max_examples=200, deadline=None)
 def test_to_json_matches_stdlib_encoder_on_generated_scenarios(doc):
     assert_json_matches_stdlib(run(parse_scenario(json.dumps(doc))))
