@@ -20,6 +20,8 @@ remaining fields follow the encoding order above:
 
     request: 0x01 || nonce(32) || region_start(2 BE) || region_end(2 BE)
     report:  0x02 || er_min(2 BE) || er_max(2 BE) || exec_flag(1) || tag(32)
+
+A length prefix above 38, the report's size, is refused unread.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ TAG_SIZE = 32
 
 MSG_REQUEST = 0x01
 MSG_REPORT = 0x02
+# The longest payload either side sends: a report (the request is 37 bytes).
+MAX_PAYLOAD = 1 + 4 + 1 + TAG_SIZE
 
 
 class BadBoundsError(ValueError):
@@ -239,10 +243,14 @@ def write_frame(stream: BinaryIO, payload: bytes) -> None:
 
 
 def read_frame(stream: BinaryIO) -> bytes:
+    """One payload; a length prefix above `MAX_PAYLOAD` is refused before
+    anything is read or allocated for it."""
     header = stream.read(4)
     if len(header) != 4:
         raise FrameError("truncated length prefix")
     (length,) = struct.unpack(">I", header)
+    if length > MAX_PAYLOAD:
+        raise FrameError(f"frame length {length} exceeds the {MAX_PAYLOAD}-byte maximum")
     payload = stream.read(length)
     if len(payload) != length:
         raise FrameError("truncated payload")

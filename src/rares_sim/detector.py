@@ -88,10 +88,14 @@ DETECT_MASK = 0x03FF  # D0-D9
 
 
 class CtrlRegister:
-    """16-bit sticky detection register; software-readable, never writable."""
+    """16-bit sticky detection register; software-readable, never writable.
+
+    An initial value is set through `latch`, so it cannot hold reserved bits.
+    """
 
     def __init__(self, value: int = 0):
-        self._value = value & 0xFFFF
+        self._value = 0
+        self.latch(value)
 
     @property
     def value(self) -> int:

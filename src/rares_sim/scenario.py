@@ -325,6 +325,12 @@ def parse_scenario(text: str) -> Scenario:
     name = obj.get("name", "scenario")
     if not isinstance(name, str):
         raise ScenarioSemanticError("name: expected a string")
+    try:
+        name.encode("utf-8")
+    except UnicodeEncodeError as exc:  # JSON admits lone surrogates such as "\ud800"
+        raise ScenarioSemanticError(
+            f"name: not UTF-8 text: lone surrogate at character {exc.start}"
+        ) from None
     layout = _parse_layout(obj.get("layout"))
     flash_size = layout.region(RegionKind.FLASH).size
 
@@ -603,14 +609,12 @@ class RunReport:
     final_digests: dict[str, str] = field(default_factory=dict)
     exit_class: str = "clean"  # clean | violations | unrecoverable
 
-    def _fields(self, rows, recovery_events) -> dict:
-        """The report sections of `to_dict`, with the caller's `rows` and
-        `recovery_events` values."""
+    def _fields(self) -> dict:
+        """The report sections that `to_json` writes through `json.dumps`:
+        every one but "rows" and "recovery_events"."""
         return {
             "scenario": self.scenario_name,
             "boot": _boot_to_dict(self.boot),
-            "rows": rows,
-            "recovery_events": recovery_events,
             "attest_reports": [
                 {"cycle": ans.cycle, **_attest_to_dict(ans.request, ans.report)}
                 for ans in self.attest_answers
@@ -626,25 +630,22 @@ class RunReport:
         }
 
     def to_dict(self) -> dict:
-        return self._fields(
-            [_row_to_dict(r) for r in self.rows],
-            [_recovery_to_dict(ev) for ev in self.recovery_events],
-        )
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
         """Machine form; byte-identical across repeated runs.
 
-        Equal to ``json.dumps(self.to_dict(), sort_keys=True, indent=2) +
-        "\\n"``, but the rows and the recovery events are written straight
-        from the CycleRow and RecoveryEvent objects by `_rows_json` and
-        `_events_json` rather than built as dicts; the other sections go
-        through `json.dumps`, indented one level.  Every fragment goes into
-        one list that is joined once, so the text is built without
-        intermediate copies of the rows.
+        The document is written as ``json.dumps(doc, sort_keys=True,
+        indent=2) + "\\n"`` would write it: the rows and the recovery events
+        straight from the CycleRow and RecoveryEvent objects by `_rows_json`
+        and `_events_json`, the other sections through `json.dumps`, indented
+        one level.  Every fragment goes into one list that is joined once, so
+        the text is built without intermediate copies of the rows.  This is
+        the report's one schema: `to_dict` parses it back.
         """
-        fields = self._fields(None, None)
+        fields = self._fields()
         out = ["{\n"]
-        for key in sorted(fields):
+        for key in sorted([*fields, "rows", "recovery_events"]):
             out.append(f'  "{key}": ')
             if key == "rows":
                 _rows_json(self.rows, out)
@@ -696,14 +697,6 @@ def _boot_to_dict(boot: BootReport) -> dict:
     }
 
 
-def _recovery_to_dict(ev: RecoveryEvent) -> dict:
-    return {
-        "after_cycle": ev.after_cycle,
-        "kind": ev.kind,
-        "boot": None if ev.boot is None else _boot_to_dict(ev.boot),
-    }
-
-
 def _boot_lines(boot: BootReport) -> list[str]:
     """The text form of a boot report, one string per line."""
     return [f"boot: {boot.outcome.value} attempts={boot.attempts}"] + [
@@ -724,38 +717,6 @@ def _attest_to_dict(request: AttestRequest, report: AttestReport) -> dict:
     }
 
 
-def _event_to_dict(event: AccessEvent, data: int) -> dict:
-    return {
-        "pc": f"0x{event.pc:04X}",
-        "irq": event.irq,
-        "ren": event.ren,
-        "wen": event.wen,
-        "daddr": f"0x{event.daddr:04X}",
-        "dma_en": event.dma_en,
-        "dma_addr": f"0x{event.dma_addr:04X}",
-        "data": f"0x{data:02X}",
-    }
-
-
-def _row_to_dict(row: CycleRow) -> dict:
-    return {
-        "cycle": row.cycle,
-        "event": _event_to_dict(row.event, row.data),
-        "violations": [v.name for v in row.violations],
-        "ctrl": f"0x{row.ctrl_after:04X}",
-        "ctrl_bits": decode_bits(row.ctrl_after),
-        "actions": [
-            {
-                "violation": rec.violation.name,
-                "action": rec.action.label(),
-                "applied": rec.applied,
-            }
-            for rec in row.actions
-        ],
-        "mem_effect": row.mem_effect,
-    }
-
-
 _JSON_BOOL = ("false", "true")
 # Two upper-case hex digits per byte value: two lookups write a 16-bit word
 # in about half the time of an f-string format spec.
@@ -772,9 +733,9 @@ def _json_names(names: list[str], indent: str) -> str:
 
 
 def _row_json(row: CycleRow, ctrl: str, sep: str) -> str:
-    """`sep`, then one row exactly as `json.dumps(_row_to_dict(row),
-    sort_keys=True, indent=2)` writes it as an element of the top-level
-    "rows" list.
+    """`sep`, then one element of the top-level "rows" list, in the layout
+    `json.dumps(sort_keys=True, indent=2)` gives an object: keys sorted,
+    each nesting level two spaces deeper.
 
     Every value is a number, a boolean or a string from a fixed ASCII
     vocabulary (hex words, enum names, action labels, write outcomes), so
@@ -839,9 +800,9 @@ def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
 
 
 def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
-    """Append the "recovery_events" list to `out`, each event exactly as
-    `json.dumps(_recovery_to_dict(ev), sort_keys=True, indent=2)` writes it
-    as an element of a top-level list.
+    """Append the "recovery_events" list to `out`, in the layout of
+    `_row_json`: each event's "after_cycle", "kind" and "boot", which is
+    null for a reflash and the reboot's report after a reset.
 
     Event kinds and boot outcomes are fixed ASCII words and the digests
     hex, so nothing needs escaping.

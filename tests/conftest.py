@@ -1,4 +1,6 @@
+import importlib.util
 import pathlib
+import sys
 
 import pytest
 from hypothesis import strategies as st
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 from rares_sim.attestation import hmac_sha256
 from rares_sim.memory import DeviceState, GoldenImage, RegionKind, build_layout
 
-SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "scenarios"
 
 DEFAULT_KEY = bytes(range(32))
 
@@ -56,3 +59,16 @@ def slotted_layouts(draw):
 
 def scenario_paths():
     return sorted(SCENARIO_DIR.glob("*.rares.json"))
+
+
+def bench_scenario_text(workload: str, seed: int) -> str:
+    """The scenario text `perfbench/bench_gen.py` generates for a trace
+    workload and seed (the generator is only read)."""
+    module = sys.modules.get("bench_gen")
+    if module is None:
+        path = ROOT / "perfbench" / "bench_gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules["bench_gen"] = module  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+    return getattr(module, workload)(seed)

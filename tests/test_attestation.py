@@ -2,6 +2,8 @@
 
 import hashlib
 import io
+import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,30 @@ def test_truncated_frames_raise():
         read_frame(io.BytesIO(b"\x00\x00"))
     with pytest.raises(FrameError):
         read_frame(io.BytesIO(b"\x00\x00\x00\x05abc"))
+
+
+def test_largest_message_fits_a_frame():
+    report = AttestReport(exec_flag=True, er_min=0x4000, er_max=0x40FF, tag=bytes(32))
+    stream = io.BytesIO()
+    write_frame(stream, encode_report(report))
+    stream.seek(0)
+    assert decode_report(read_frame(stream)) == report
+
+
+@pytest.mark.parametrize("length", [39, 16 << 20], ids=["report+1", "16MiB"])
+def test_oversized_length_prefix_is_refused_before_reading(length):
+    # a 37-byte request behind a prefix longer than the largest message (the
+    # 38-byte report): refused without reading or allocating the claimed size
+    request = encode_request(AttestRequest(nonce=NONCE, region_start=0x4000, region_end=0x40FF))
+    stream = io.BufferedReader(io.BytesIO(struct.pack(">I", length) + request))
+    tracemalloc.start()
+    try:
+        with pytest.raises(FrameError, match="exceeds the 38-byte maximum"):
+            read_frame(stream)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_served_exchange_matches_direct_call(state):

@@ -2,10 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import SCENARIO_DIR, scenario_paths
+from conftest import ROOT, SCENARIO_DIR, scenario_paths
 from rares_sim.cli import ExitStatus, main
 
 NONCE_HEX = "ab" * 32
@@ -301,3 +304,25 @@ def test_scenario_that_is_not_utf8_is_a_usage_error(capsys, tmp_path):
     assert code == ExitStatus.USAGE
     assert out == ""
     assert err == f"rares-sim: {utf16}: not UTF-8 text: byte 0xFF at offset 0\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["run"], ["run", "--format", "json"], ["boot"], ["attest", "--nonce", NONCE_HEX]],
+    ids=["run", "run-json", "boot", "attest"],
+)
+def test_lone_surrogate_name_is_a_usage_error(tmp_path, argv):
+    # JSON admits "\ud800", which no UTF-8 stream can carry.  A subprocess,
+    # since capsys buffers text without encoding it.
+    path = tmp_path / "surrogate.rares.json"
+    path.write_text('{"name": "\\ud800"}')
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "rares_sim.cli", argv[0], str(path), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == ExitStatus.USAGE
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "rares-sim: name: not UTF-8 text: lone surrogate at character 0"
+    ]

@@ -158,6 +158,15 @@ def test_latch_rejects_reserved_bits():
     assert reg.value == 0
 
 
+def test_constructor_rejects_reserved_bits():
+    # the initial value goes through the latch path, which owns the rule
+    for value in (0x0800, 0xF800, 0x10000):
+        with pytest.raises(ValueError, match="reserved bits"):
+            CtrlRegister(value)
+    assert CtrlRegister(0x0401).value == 0x0401
+    assert CtrlRegister(DETECT_MASK | RESET_MASK).value == 0x07FF
+
+
 def test_clear_detection_bits_keeps_reset_flag():
     reg = CtrlRegister()
     reg.latch(DETECT_MASK | RESET_MASK)

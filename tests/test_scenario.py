@@ -7,10 +7,11 @@ import json
 import tracemalloc
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DEFAULT_KEY, scenario_paths, slotted_layouts
+from conftest import DEFAULT_KEY, bench_scenario_text, scenario_paths, slotted_layouts
+from reference_run import reference_run
 from rares_sim.attestation import hmac_sha256
 from rares_sim.detector import DETECT_MASK, RESET_MASK, AccessEvent, ViolationKind
 from rares_sim.memory import GoldenImage, RegionKind, build_layout
@@ -111,6 +112,7 @@ def test_bad_json_reports_position():
          r"binding\.IRQ_RAM: unknown fields maks"),
         ('{"binding": {"IRQ_RAM": {"action": "hard_cpu_off", "mask": "0x00F0"}}}',
          r"binding\.IRQ_RAM\.mask: only soft_mode_switch takes a mask"),
+        ('{"name": "ok \\ud800"}', r"name: not UTF-8 text: lone surrogate at character 3"),
     ],
 )
 def test_semantic_errors(text, match):
@@ -556,13 +558,16 @@ def test_challenge_before_the_window_opens_carries_no_proof():
 # -- JSON report writer ---------------------------------------------------------
 
 
-def assert_json_matches_stdlib(report):
-    assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+def assert_json_matches_stdlib(scenario):
+    """The hand-written report text is the stdlib encoder's text of the
+    whole-run reference document."""
+    expected = json.dumps(reference_run(scenario), sort_keys=True, indent=2) + "\n"
+    assert run(scenario).to_json() == expected
 
 
 @pytest.mark.parametrize("path", scenario_paths(), ids=lambda p: p.name)
 def test_to_json_matches_stdlib_encoder_on_corpus(path):
-    assert_json_matches_stdlib(run(parse_scenario_file(path)))
+    assert_json_matches_stdlib(parse_scenario_file(path))
 
 
 _ACTION_ENTRIES = st.sampled_from(
@@ -570,7 +575,11 @@ _ACTION_ENTRIES = st.sampled_from(
 ) | st.builds(
     lambda mask: {"action": "soft_mode_switch", "mask": mask}, st.integers(0, 0xFFFF)
 )
-_NAME_CHARS = st.sampled_from('"\\\x00\x07\n\t\x1f\x7f/é☃\U0001d11e') | st.characters()
+# Names with every JSON escape class; not lone surrogates, which are not
+# UTF-8 text and which the parser rejects (see `test_semantic_errors`).
+_NAME_CHARS = st.sampled_from('"\\\x00\x07\n\t\x1f\x7f/é☃\U0001d11e') | st.characters(
+    exclude_categories=("Cs",)
+)
 # (start, end) pairs that each lie inside one mapped region
 _ATTEST_SPANS = st.sampled_from(
     [(0x0200, 0x0AFF), (0x0B00, 0x0B3F), (0x4000, 0x40FF), (0x6000, 0x6000),
@@ -673,7 +682,7 @@ def test_recovery_docs_reach_their_paths():
 @example(doc=RECOVERY_DOCS["reflash_then_reset"])
 @settings(max_examples=200, deadline=None)
 def test_to_json_matches_stdlib_encoder_on_generated_scenarios(doc):
-    assert_json_matches_stdlib(run(parse_scenario(json.dumps(doc))))
+    assert_json_matches_stdlib(parse_scenario(json.dumps(doc)))
 
 
 @st.composite
@@ -750,3 +759,86 @@ def test_to_json_peak_memory_stays_near_its_output_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text), f"peak {peak} B for {len(text)} B of output"
+
+
+# -- whole-run reference -----------------------------------------------------
+#
+# `reference_run` rebuilds the report document from the README's rules with
+# none of the package's run, prevention, memory, boot or report code, so
+# these properties check `run()` and the JSON writer together.
+
+
+def assert_reference_matches(scenario):
+    assert run(scenario).to_dict() == reference_run(scenario)
+
+
+_NONCE = "5a" * 32
+
+
+@given(doc=scenario_docs())
+@example(doc={})
+@example(doc={  # two actions in one row; the reset's recovery event carries a reboot
+    "binding": {"CPU_RAM_RD": {"action": "soft_mode_switch", "mask": 4}},
+    "trace": [{"cycle": 1, "pc": "0x6000", "irq": True, "ren": True, "daddr": "0x4000"}],
+})
+@example(doc=RECOVERY_DOCS["reset_recovers"])
+@example(doc=RECOVERY_DOCS["reset_unrecoverable"])
+@example(doc=RECOVERY_DOCS["reflash_then_reset"])
+@example(doc={  # IRQ_RAM bound to the gate, CPU_ROM_RD to CPU-off: the gate wins
+    "binding": {"IRQ_RAM": "chip_gate_and_recover"},
+    "trace": [{"cycle": 1, "pc": "0x4000", "irq": True, "ren": True, "daddr": "0x6A00"}],
+})
+@example(doc={  # a key-ROM read halts the CPU: its next write is suppressed, DMA's is not
+    "trace": [
+        {"cycle": 1, "pc": "0x4000", "ren": True, "daddr": "0x6A00"},
+        {"cycle": 2, "pc": "0x4000", "wen": True, "daddr": "0x4010", "data": "0x5A"},
+        {"cycle": 3, "pc": "0x4000", "wen": True, "dma_en": True, "dma_addr": "0x4011",
+         "data": "0xA5"},
+    ],
+})
+@settings(max_examples=200, deadline=None)
+def test_reference_run_matches_run_on_generated_scenarios(doc):
+    assert_reference_matches(parse_scenario(json.dumps(doc)))
+
+
+@given(doc=pox_docs())
+@example(doc={  # a challenge at the window's last cycle sees the window closed
+    "binding": _NO_ACTIONS,
+    "pox": {"begin_cycle": 1, "end_cycle": 2, "er_min": 0x4000, "er_max": 0x40FF},
+    "attest": [{"cycle": 2, "nonce": _NONCE, "region_start": "0x4000", "region_end": "0x400F"}],
+    "trace": [{"cycle": 1, "pc": 0x4000}, {"cycle": 2, "pc": 0x4002}],
+})
+@example(doc={  # a challenge at an idle cycle is answered before the next event
+    "binding": _NO_ACTIONS,
+    "attest": [{"cycle": 1, "nonce": _NONCE, "region_start": "0x4000", "region_end": "0x400F"}],
+    "trace": [{"cycle": 2, "pc": 0x4000, "wen": True, "daddr": 0x4001, "data": 0xAA}],
+})
+@settings(max_examples=200, deadline=None)
+def test_reference_run_matches_run_on_pox_timelines(doc):
+    assert_reference_matches(parse_scenario(json.dumps(doc)))
+
+
+@given(doc=drawn_layout_docs())
+@example(doc={  # a metadata region that holds the register and digest, not the window
+    "layout": {"metadata": ["0x0B00", "0x0B24"]},
+    "pox": {"begin_cycle": 1, "end_cycle": 1, "er_min": "0x4000", "er_max": "0x4000"},
+    "attest": [{"cycle": 2, "nonce": _NONCE, "region_start": "0x0B00", "region_end": "0x0B24"}],
+    "trace": [{"cycle": 1, "pc": "0x4000"}],
+})
+@settings(max_examples=150, deadline=None)
+def test_reference_run_matches_run_on_drawn_layouts(doc):
+    try:
+        scenario = parse_scenario(json.dumps(doc))
+    except ScenarioError:
+        assume(False)  # rejected with a located message; draw another layout
+    assert_reference_matches(scenario)
+
+
+@pytest.mark.parametrize("path", scenario_paths(), ids=lambda p: p.name)
+def test_reference_run_matches_run_on_corpus(path):
+    assert_reference_matches(parse_scenario_file(path))
+
+
+@pytest.mark.parametrize("workload", ["long_trace", "recovery_storm"])
+def test_reference_run_matches_run_on_benchmark_traces(workload):
+    assert_reference_matches(parse_scenario(bench_scenario_text(workload, 7)))
