@@ -77,6 +77,8 @@ class ViolationKind(Enum):
     CPU_STACK_RD = 8
     CPU_ROM_RD = 9
 
+    __hash__ = object.__hash__  # singletons: identity hashing, no Python call
+
     @property
     def mask(self) -> int:
         return 1 << self.value

@@ -62,6 +62,10 @@ class RegionKind(Enum):
     RESERVED_STACK = "reserved_stack"
     METADATA = "metadata"
 
+    # members are singletons, so identity hashing is enough; Enum's own
+    # `__hash__` is a Python call on every `mem[kind]` or `region(kind)`
+    __hash__ = object.__hash__
+
 
 ROM_KINDS = frozenset({RegionKind.BOOT_ROM, RegionKind.KEY_ROM, RegionKind.RECOVERY_ROM})
 

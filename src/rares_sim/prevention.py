@@ -17,6 +17,7 @@ it back.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -166,9 +167,9 @@ class ActionRecord:
 
 def apply_prevention(
     state: DeviceState,
-    violations: set[ViolationKind],
+    violations: Iterable[ViolationKind],
     binding: PreventionBinding,
-) -> list[ActionRecord]:
+) -> tuple[ActionRecord, ...]:
     """Apply the strongest bound action for this cycle's violations.
 
     The winner changes exactly one mark: mode switch ORs the mask into r2;
@@ -176,13 +177,15 @@ def apply_prevention(
     sets `recovery_queued`, the raised chip-enable gate, which suppresses the
     offending access in this same cycle; reset latches D10, the reset
     request.  Subsumed actions are logged with applied=False.  Arbitration
-    is the binding's cached `plan` for the violation mask.
+    is the binding's cached `plan` for the violation mask, and the records
+    returned are that plan's tuple itself, shared by every cycle with the
+    same mask; no violation returns ().
     """
     mask = 0
     for kind in violations:
         mask |= 1 << kind._value_  # `.value` without the enum descriptor call
     if not mask:
-        return []
+        return ()
     records, strongest, soft = binding.plan(mask)
     if strongest is ActionKind.CHIP_GATE_AND_RECOVER:
         state.recovery_queued = True
@@ -192,4 +195,4 @@ def apply_prevention(
         state.cpu_halted = True
     elif strongest is ActionKind.SOFT_MODE_SWITCH:
         state.r2 = mode_switch(state.r2, soft)
-    return list(records)
+    return records

@@ -572,12 +572,17 @@ def build_device(scenario: Scenario) -> DeviceState:
 
 @dataclass(slots=True)
 class CycleRow:
+    """One replayed cycle.  `violations` and `actions` are the immutable
+    tuples its violation mask already has, `MASK_KINDS[mask]` and the
+    binding's plan records, so rows with one mask share them; benign rows
+    share ()."""
+
     cycle: int
     event: AccessEvent
     data: int
-    violations: list[ViolationKind]
+    violations: tuple[ViolationKind, ...]
     ctrl_after: int
-    actions: list[ActionRecord]
+    actions: tuple[ActionRecord, ...]
     mem_effect: str  # applied | suppressed | unmapped | none
 
 
@@ -660,8 +665,9 @@ class RunReport:
     def to_text(self, show_pre_clear: bool = False) -> str:
         lines = [f"scenario: {self.scenario_name}", *_boot_lines(self.boot)]
         boundary = {ev.after_cycle: ev for ev in self.recovery_events}
+        pair_texts: dict[tuple[int, int], tuple[str, str]] = {}
         for row in self.rows:
-            lines.append(_row_to_text(row))
+            lines.append(_row_to_text(row, pair_texts))
             ev = boundary.get(row.cycle)
             if ev is not None:
                 tail = f" -> boot {ev.boot.outcome.value}" if ev.boot else ""
@@ -732,7 +738,42 @@ def _json_names(names: list[str], indent: str) -> str:
     return f"[\n{items}\n{indent}]"
 
 
-def _row_json(row: CycleRow, ctrl: str, sep: str) -> str:
+def _pair_text(row: CycleRow, texts: dict, render) -> tuple[str, str]:
+    """`render(row.violations, row.actions)`, worked out once per distinct
+    pair of tuples and kept in `texts`.  Writers call it only for rows with
+    violations or actions; a benign row's text is a constant.
+
+    The key is the two objects' identity: rows with one violation mask share
+    both tuples, and the rows keep them alive while a writer runs, so an id
+    is never reused within one call.  Equal but distinct tuples just get
+    entries of their own.
+    """
+    violations, actions = row.violations, row.actions
+    key = (id(violations), id(actions))
+    text = texts.get(key)
+    if text is None:
+        text = texts[key] = render(violations, actions)
+    return text
+
+
+def _pair_json(violations, actions) -> tuple[str, str]:
+    """A row's "actions" and "violations" values, as `_row_json` writes them."""
+    if actions:
+        items = ",\n".join(
+            "        {\n"
+            f'          "action": "{rec.action.label()}",\n'
+            f'          "applied": {_JSON_BOOL[rec.applied]},\n'
+            f'          "violation": "{rec.violation.name}"\n'
+            "        }"
+            for rec in actions
+        )
+        actions_text = f"[\n{items}\n      ]"
+    else:
+        actions_text = "[]"
+    return actions_text, _json_names([v.name for v in violations], "      ")
+
+
+def _row_json(row: CycleRow, ctrl: str, pair: tuple[str, str], sep: str) -> str:
     """`sep`, then one element of the top-level "rows" list, in the layout
     `json.dumps(sort_keys=True, indent=2)` gives an object: keys sorted,
     each nesting level two spaces deeper.
@@ -740,25 +781,13 @@ def _row_json(row: CycleRow, ctrl: str, sep: str) -> str:
     Every value is a number, a boolean or a string from a fixed ASCII
     vocabulary (hex words, enum names, action labels, write outcomes), so
     nothing needs escaping.  `ctrl` is the encoded "ctrl" value and
-    "ctrl_bits" entry, which the caller computes once per register value.
+    "ctrl_bits" entry, which the caller computes once per register value,
+    and `pair` the "actions" and "violations" values from `_pair_json`,
+    which it computes once per pair of tuples.
     """
     ev = row.event
     pc, daddr, dma_addr = ev.pc, ev.daddr, ev.dma_addr
-    if row.actions:
-        items = ",\n".join(
-            "        {\n"
-            f'          "action": "{rec.action.label()}",\n'
-            f'          "applied": {_JSON_BOOL[rec.applied]},\n'
-            f'          "violation": "{rec.violation.name}"\n'
-            "        }"
-            for rec in row.actions
-        )
-        actions = f"[\n{items}\n      ]"
-    else:
-        actions = "[]"
-    violations = (
-        _json_names([v.name for v in row.violations], "      ") if row.violations else "[]"
-    )
+    actions, violations = pair
     return (
         f"{sep}    {{\n"
         f'      "actions": {actions},\n'
@@ -787,6 +816,7 @@ def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
         out.append("[]")
         return
     ctrl_texts: dict[int, str] = {}
+    pair_texts: dict[tuple[int, int], tuple[str, str]] = {}
     sep = "[\n"
     for row in rows:
         value = row.ctrl_after
@@ -794,7 +824,11 @@ def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
         if ctrl is None:
             bits = _json_names(decode_bits(value), "      ")
             ctrl = ctrl_texts[value] = f'"0x{value:04X}",\n      "ctrl_bits": {bits}'
-        out.append(_row_json(row, ctrl, sep))
+        if row.violations or row.actions:
+            pair = _pair_text(row, pair_texts, _pair_json)
+        else:
+            pair = ("[]", "[]")  # a benign row's "actions" and "violations"
+        out.append(_row_json(row, ctrl, pair, sep))
         sep = ",\n"
     out.append("\n  ]")
 
@@ -844,7 +878,18 @@ def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
     out.append("\n  ]")
 
 
-def _row_to_text(row: CycleRow) -> str:
+def _pair_line(violations, actions) -> tuple[str, str]:
+    """A row's violation and action columns in the text form."""
+    return (
+        " ".join(v.name for v in violations) or "-",
+        " ".join(
+            f"{rec.action.label()}{'' if rec.applied else '(subsumed)'}" for rec in actions
+        ) or "-",
+    )
+
+
+def _row_to_text(row: CycleRow, pair_texts: dict) -> str:
+    """One row of the text form; `pair_texts` is `_pair_text`'s cache."""
     ev = row.event
     parts = [f"pc=0x{ev.pc:04X}"]
     if ev.irq:
@@ -854,10 +899,10 @@ def _row_to_text(row: CycleRow) -> str:
         parts.append(f"dma {op} 0x{ev.dma_addr:04X}")
     elif ev.ren or ev.wen:
         parts.append(f"{'ren' if ev.ren else 'wen'} 0x{ev.daddr:04X}")
-    viol = " ".join(v.name for v in row.violations) or "-"
-    acts = " ".join(
-        f"{rec.action.label()}{'' if rec.applied else '(subsumed)'}" for rec in row.actions
-    ) or "-"
+    if row.violations or row.actions:
+        viol, acts = _pair_text(row, pair_texts, _pair_line)
+    else:
+        viol = acts = "-"
     return (
         f"cycle {row.cycle:>4}: {' '.join(parts)} | {viol} | "
         f"ctrl=0x{row.ctrl_after:04X} | {acts} | mem={row.mem_effect}"
@@ -920,10 +965,10 @@ def run(scenario: Scenario) -> RunReport:
         state.cycle = label - 1
         mask = latch_event(state, event)
         if mask:
-            kinds = MASK_KINDS[mask]
-            violations, actions = list(kinds), apply_prevention(state, kinds, binding)
+            violations = MASK_KINDS[mask]
+            actions = apply_prevention(state, violations, binding)
         else:
-            violations, actions = [], []
+            violations = actions = ()
         # bits are sticky and clear only at the cycle boundary, so the
         # register now holds every bit latched since the last clear
         ctrl_after = ctrl.value
@@ -936,7 +981,8 @@ def run(scenario: Scenario) -> RunReport:
             else:
                 target = event.dma_addr if event.dma_en else event.daddr
                 try:
-                    mem_effect = apply_write(state, target, step_rec.data).value
+                    # `._value_`: `.value` without the enum descriptor call
+                    mem_effect = apply_write(state, target, step_rec.data)._value_
                 except UnmappedAddressError:
                     mem_effect = "unmapped"
 

@@ -326,3 +326,22 @@ def test_lone_surrogate_name_is_a_usage_error(tmp_path, argv):
     assert result.stderr.splitlines() == [
         "rares-sim: name: not UTF-8 text: lone surrogate at character 0"
     ]
+
+
+def test_run_output_does_not_depend_on_the_hash_seed():
+    # the report writers cache text by object identity and the region and
+    # violation kinds hash by identity; none of it may reach the output
+    def run_all(hash_seed):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=hash_seed)
+        return [
+            subprocess.run(
+                [sys.executable, "-m", "rares_sim.cli", "run", str(path), *fmt],
+                capture_output=True, env=env, timeout=60,
+            )
+            for path in scenario_paths()
+            for fmt in ([], ["--format", "json"])
+        ]
+
+    first, second = run_all("0"), run_all("1")
+    assert len(first) == 20 and all(r.stdout for r in first)
+    assert [(r.returncode, r.stdout) for r in first] == [(r.returncode, r.stdout) for r in second]

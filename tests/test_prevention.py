@@ -135,7 +135,7 @@ _MARK_OF = {
 
 
 def test_no_violations_no_records(state):
-    assert apply_prevention(state, set(), default_binding()) == []
+    assert apply_prevention(state, set(), default_binding()) == ()
     assert _marks(state) == NO_MARKS
 
 
@@ -237,7 +237,7 @@ def test_plan_is_built_once_per_mask_and_not_inherited(make_state):
     assert binding.plan(V.IRQ_RAM.mask | V.CPU_ROM_RD.mask) is plan
     first = apply_prevention(make_state(), {V.CPU_ROM_RD, V.IRQ_RAM}, binding)
     again = apply_prevention(make_state(), {V.IRQ_RAM, V.CPU_ROM_RD}, binding)
-    assert first == again == list(plan[0])
+    assert first == again == plan[0]
     assert all(a is b for a, b in zip(first, again))  # the plan's records, shared
     assert plan[1] is ActionKind.SYSTEM_RESET and plan[2] == 0
 
@@ -252,3 +252,9 @@ def test_plan_is_built_once_per_mask_and_not_inherited(make_state):
     assert _marks(state) == (0, True, False, 0)
     # and the parent keeps its own plan
     assert binding.plan(V.IRQ_RAM.mask | V.CPU_ROM_RD.mask) is plan
+
+
+def test_apply_prevention_returns_the_plans_own_records(state):
+    binding = default_binding()
+    records = apply_prevention(state, (V.DMA_ROM_RD, V.CPU_RAM_RD), binding)
+    assert records is binding.plan(V.DMA_ROM_RD.mask | V.CPU_RAM_RD.mask)[0]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from conftest import DEFAULT_KEY, bench_scenario_text, scenario_paths, slotted_layouts
 from reference_run import reference_run
 from rares_sim.attestation import hmac_sha256
-from rares_sim.detector import DETECT_MASK, RESET_MASK, AccessEvent, ViolationKind
+from rares_sim.detector import DETECT_MASK, MASK_KINDS, RESET_MASK, AccessEvent, ViolationKind
 from rares_sim.memory import GoldenImage, RegionKind, build_layout
 from rares_sim.prevention import ActionKind, default_binding
 from rares_sim.scenario import (
@@ -190,8 +190,8 @@ def test_key_read_attack_run():
     report = run(parse_scenario_file(scenario_paths()[0].parent / "key_read_attack.rares.json"))
     assert report.boot.outcome is BootOutcome.VERIFIED_CLEAN
     rows = {row.cycle: row for row in report.rows}
-    assert rows[1].violations == [] and rows[1].ctrl_after == 0
-    assert rows[5].violations == [V.CPU_ROM_RD]
+    assert rows[1].violations == () and rows[1].ctrl_after == 0
+    assert rows[5].violations == (V.CPU_ROM_RD,)
     assert rows[5].ctrl_after == 0x0200
     assert [r.action.kind for r in rows[5].actions if r.applied] == [ActionKind.HARD_CPU_OFF]
     assert report.final_ctrl == 0x0200  # nothing recovered or reset: bit 9 persists
@@ -202,7 +202,7 @@ def test_dma_write_during_swatt_is_suppressed_and_recovered():
     path = scenario_paths()[0].parent / "dma_ram_write_swatt.rares.json"
     report = run(parse_scenario_file(path))
     attack = next(row for row in report.rows if row.cycle == 2)
-    assert attack.violations == [V.DMA_RAM_WR]
+    assert attack.violations == (V.DMA_RAM_WR,)
     assert attack.mem_effect == "suppressed"
     assert [e.kind for e in report.recovery_events] == ["reflash"]
     assert report.final_ctrl == 0x0000  # recovery cleared the detection bits
@@ -218,7 +218,7 @@ def test_irq_atomicity_triggers_reset_and_reboot():
     path = scenario_paths()[0].parent / "atomicity_irq.rares.json"
     report = run(parse_scenario_file(path))
     attack = next(row for row in report.rows if row.cycle == 2)
-    assert attack.violations == [V.IRQ_STACK]
+    assert attack.violations == (V.IRQ_STACK,)
     assert attack.ctrl_after == V.IRQ_STACK.mask | RESET_MASK
     resets = [e for e in report.recovery_events if e.kind == "reset"]
     assert len(resets) == 1 and resets[0].boot.outcome is BootOutcome.VERIFIED_CLEAN
@@ -691,6 +691,11 @@ def drawn_layout_docs(draw):
     challenges, binding and tampered flash, and a short trace over
     addresses of its regions."""
     bounds = {r.kind: (r.start, r.end) for r in draw(slotted_layouts()).regions}
+    # the recovery ROM holds the flash image: of the two drawn regions, the
+    # larger one is the ROM, so the parser accepts every drawn layout
+    rom, flash = bounds[RegionKind.RECOVERY_ROM], bounds[RegionKind.FLASH]
+    if rom[1] - rom[0] < flash[1] - flash[0]:
+        bounds[RegionKind.RECOVERY_ROM], bounds[RegionKind.FLASH] = flash, rom
     spans = st.sampled_from(sorted(bounds.values()))
     addrs = spans.flatmap(lambda b: st.integers(*b)) | st.integers(0, 0xFFFF)
     trace, cycle = [], 0
@@ -759,6 +764,58 @@ def test_to_json_peak_memory_stays_near_its_output_size():
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * len(text), f"peak {peak} B for {len(text)} B of output"
+
+
+def test_rows_share_the_tuples_of_their_violation_mask():
+    report = run(parse_scenario(bench_scenario_text("recovery_storm", 7)))
+    shared: dict[tuple, tuple[int, int]] = {}
+    for row in report.rows:
+        mask = sum(v.mask for v in row.violations)
+        assert row.violations is MASK_KINDS[mask]
+        ids = shared.setdefault(row.violations, (id(row.violations), id(row.actions)))
+        assert (id(row.violations), id(row.actions)) == ids
+    assert len(shared) > 2  # benign rows and several violation masks
+    benign = shared[()]
+    assert benign == (id(()), id(()))  # every benign row holds the one empty tuple
+
+
+@pytest.mark.parametrize("event,violations", [
+    (AccessEvent(pc=0x4000, ren=True, daddr=0x4100), ()),  # app-RAM read
+    (AccessEvent(pc=0x4000, ren=True, daddr=0x6A00), (V.CPU_ROM_RD,)),  # the CPU stays off
+], ids=["benign", "violating"])
+def test_a_row_adds_one_tracked_object(event, violations):
+    # the CycleRow itself; its violations and actions are shared tuples
+    scenario = make_scenario([event] * 5000)
+    gc.collect()
+    before = len(gc.get_objects())
+    report = run(scenario)
+    per_row = (len(gc.get_objects()) - before) / len(report.rows)
+    assert per_row <= 1.01, f"{per_row:.2f} tracked objects per row"
+    assert len(report.rows) == 5000
+    assert all(tuple(row.violations) == violations for row in report.rows)
+
+
+# sha256 of the two report forms on the benchmark traces at seed 7, recorded
+# before rows shared their per-mask tuples and the writers their pair text
+BENCH_REPORT_SHA256 = {
+    "long_trace": (
+        "c9dc8c2e9a717f470a760133ecb39cfeacee8d5c31d478d844ec3659419ccb50",
+        "dc8e3f8b68422f9eeeb8ab107258dc2f9fc6df112bef717fac96dadfaa47ed85",
+    ),
+    "recovery_storm": (
+        "cf2cb43c177b417ad7f10d596a150d0709c0ce9adfef65a7d34d2fa6392d109c",
+        "68646f3d416b81ed6ee5c1f27e0785462e359caa3210ecd7565ffd4148ba171b",
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_REPORT_SHA256))
+def test_benchmark_trace_reports_are_byte_identical(workload):
+    report = run(parse_scenario(bench_scenario_text(workload, 7)))
+    digests = tuple(
+        hashlib.sha256(text.encode()).hexdigest() for text in (report.to_json(), report.to_text(True))
+    )
+    assert digests == BENCH_REPORT_SHA256[workload]
 
 
 # -- whole-run reference -----------------------------------------------------
