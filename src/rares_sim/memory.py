@@ -11,6 +11,7 @@ read-only view of state that :class:`DeviceState` owns.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
@@ -307,18 +308,12 @@ class DeviceState:
         """Render the metadata header (register, digest, exec state) into
         ``mem[METADATA]``, writing only the fields that fit the region."""
         meta = self.mem[RegionKind.METADATA]
-        value = self.ctrl.value
-        meta[META_CTRL_OFF] = value & 0xFF
-        meta[META_CTRL_OFF + 1] = (value >> 8) & 0xFF
+        struct.pack_into("<H", meta, META_CTRL_OFF, self.ctrl.value)
         if len(meta) >= META_EXEC_OFF:
             meta[META_DIGEST_OFF:META_EXEC_OFF] = self.reference_digest
         if len(meta) >= META_EXEC_OFF + 5:
             em = self.exec_meta
-            meta[META_EXEC_OFF] = em.er_min & 0xFF
-            meta[META_EXEC_OFF + 1] = (em.er_min >> 8) & 0xFF
-            meta[META_EXEC_OFF + 2] = em.er_max & 0xFF
-            meta[META_EXEC_OFF + 3] = (em.er_max >> 8) & 0xFF
-            meta[META_EXEC_OFF + 4] = 1 if em.exec_flag else 0
+            struct.pack_into("<HH?", meta, META_EXEC_OFF, em.er_min, em.er_max, em.exec_flag)
 
 
 def apply_write(state: DeviceState, addr: int, byte: int) -> WriteResult:

@@ -614,10 +614,21 @@ class RunReport:
     final_digests: dict[str, str] = field(default_factory=dict)
     exit_class: str = "clean"  # clean | violations | unrecoverable
 
-    def _fields(self) -> dict:
-        """The report sections that `to_json` writes through `json.dumps`:
-        every one but "rows" and "recovery_events"."""
-        return {
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
+
+    def to_json(self) -> str:
+        """Machine form; byte-identical across repeated runs.
+
+        The document is written as ``json.dumps(doc, sort_keys=True,
+        indent=2) + "\\n"`` would write it: the rows and the recovery events
+        straight from the CycleRow and RecoveryEvent objects by the
+        hand-written templates of `_rows_json` and `_events_json`, every
+        other section by `_dumps`.  Every fragment goes into one list that is
+        joined once, so the text is built without intermediate copies of the
+        rows.  This is the report's one schema: `to_dict` parses it back.
+        """
+        fields = {
             "scenario": self.scenario_name,
             "boot": _boot_to_dict(self.boot),
             "attest_reports": [
@@ -633,22 +644,6 @@ class RunReport:
             "final_digests": self.final_digests,
             "exit": self.exit_class,
         }
-
-    def to_dict(self) -> dict:
-        return json.loads(self.to_json())
-
-    def to_json(self) -> str:
-        """Machine form; byte-identical across repeated runs.
-
-        The document is written as ``json.dumps(doc, sort_keys=True,
-        indent=2) + "\\n"`` would write it: the rows and the recovery events
-        straight from the CycleRow and RecoveryEvent objects by `_rows_json`
-        and `_events_json`, the other sections through `json.dumps`, indented
-        one level.  Every fragment goes into one list that is joined once, so
-        the text is built without intermediate copies of the rows.  This is
-        the report's one schema: `to_dict` parses it back.
-        """
-        fields = self._fields()
         out = ["{\n"]
         for key in sorted([*fields, "rows", "recovery_events"]):
             out.append(f'  "{key}": ')
@@ -657,7 +652,7 @@ class RunReport:
             elif key == "recovery_events":
                 _events_json(self.recovery_events, out)
             else:
-                out.append(json.dumps(fields[key], sort_keys=True, indent=2).replace("\n", "\n  "))
+                out.append(_dumps(fields[key], "  "))
             out.append(",\n")
         out[-1] = "\n}\n"
         return "".join(out)
@@ -667,7 +662,23 @@ class RunReport:
         boundary = {ev.after_cycle: ev for ev in self.recovery_events}
         pair_texts: dict[tuple[int, int], tuple[str, str]] = {}
         for row in self.rows:
-            lines.append(_row_to_text(row, pair_texts))
+            event = row.event
+            parts = [f"pc=0x{event.pc:04X}"]
+            if event.irq:
+                parts.append("irq")
+            if event.dma_en:
+                op = "ren" if event.ren else ("wen" if event.wen else "idle")
+                parts.append(f"dma {op} 0x{event.dma_addr:04X}")
+            elif event.ren or event.wen:
+                parts.append(f"{'ren' if event.ren else 'wen'} 0x{event.daddr:04X}")
+            if row.violations or row.actions:
+                viol, acts = _pair_text(row, pair_texts, _pair_line)
+            else:
+                viol = acts = "-"
+            lines.append(
+                f"cycle {row.cycle:>4}: {' '.join(parts)} | {viol} | "
+                f"ctrl=0x{row.ctrl_after:04X} | {acts} | mem={row.mem_effect}"
+            )
             ev = boundary.get(row.cycle)
             if ev is not None:
                 tail = f" -> boot {ev.boot.outcome.value}" if ev.boot else ""
@@ -723,19 +734,19 @@ def _attest_to_dict(request: AttestRequest, report: AttestReport) -> dict:
     }
 
 
+def _dumps(value, indent: str) -> str:
+    """`json.dumps(value, sort_keys=True, indent=2)` for a value whose key is
+    indented by `indent`.  The JSON writer's rule: only text written once per
+    row or once per recovery event is hand-written, because that is where a
+    report's time goes; text written once per distinct value (kept in a
+    writer's cache) or once per report comes from here."""
+    return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
+
+
 _JSON_BOOL = ("false", "true")
 # Two upper-case hex digits per byte value: two lookups write a 16-bit word
 # in about half the time of an f-string format spec.
 _HEX_BYTE = tuple(f"{b:02X}" for b in range(256))
-
-
-def _json_names(names: list[str], indent: str) -> str:
-    """A list of plain-ASCII strings as `json.dumps(indent=2)` writes it when
-    the list's own line is indented by `indent`."""
-    if not names:
-        return "[]"
-    items = ",\n".join(f'{indent}  "{name}"' for name in names)
-    return f"[\n{items}\n{indent}]"
 
 
 def _pair_text(row: CycleRow, texts: dict, render) -> tuple[str, str]:
@@ -757,61 +768,25 @@ def _pair_text(row: CycleRow, texts: dict, render) -> tuple[str, str]:
 
 
 def _pair_json(violations, actions) -> tuple[str, str]:
-    """A row's "actions" and "violations" values, as `_row_json` writes them."""
-    if actions:
-        items = ",\n".join(
-            "        {\n"
-            f'          "action": "{rec.action.label()}",\n'
-            f'          "applied": {_JSON_BOOL[rec.applied]},\n'
-            f'          "violation": "{rec.violation.name}"\n'
-            "        }"
-            for rec in actions
-        )
-        actions_text = f"[\n{items}\n      ]"
-    else:
-        actions_text = "[]"
-    return actions_text, _json_names([v.name for v in violations], "      ")
-
-
-def _row_json(row: CycleRow, ctrl: str, pair: tuple[str, str], sep: str) -> str:
-    """`sep`, then one element of the top-level "rows" list, in the layout
-    `json.dumps(sort_keys=True, indent=2)` gives an object: keys sorted,
-    each nesting level two spaces deeper.
-
-    Every value is a number, a boolean or a string from a fixed ASCII
-    vocabulary (hex words, enum names, action labels, write outcomes), so
-    nothing needs escaping.  `ctrl` is the encoded "ctrl" value and
-    "ctrl_bits" entry, which the caller computes once per register value,
-    and `pair` the "actions" and "violations" values from `_pair_json`,
-    which it computes once per pair of tuples.
-    """
-    ev = row.event
-    pc, daddr, dma_addr = ev.pc, ev.daddr, ev.dma_addr
-    actions, violations = pair
-    return (
-        f"{sep}    {{\n"
-        f'      "actions": {actions},\n'
-        f'      "ctrl": {ctrl},\n'
-        f'      "cycle": {row.cycle},\n'
-        '      "event": {\n'
-        f'        "daddr": "0x{_HEX_BYTE[daddr >> 8]}{_HEX_BYTE[daddr & 0xFF]}",\n'
-        f'        "data": "0x{_HEX_BYTE[row.data]}",\n'
-        f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}",\n'
-        f'        "dma_en": {_JSON_BOOL[ev.dma_en]},\n'
-        f'        "irq": {_JSON_BOOL[ev.irq]},\n'
-        f'        "pc": "0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}",\n'
-        f'        "ren": {_JSON_BOOL[ev.ren]},\n'
-        f'        "wen": {_JSON_BOOL[ev.wen]}\n'
-        "      },\n"
-        f'      "mem_effect": "{row.mem_effect}",\n'
-        f'      "violations": {violations}\n'
-        "    }"
-    )
+    """A row's "actions" and "violations" values, indented as a row's keys."""
+    records = [
+        {"action": rec.action.label(), "applied": rec.applied, "violation": rec.violation.name}
+        for rec in actions
+    ]
+    return _dumps(records, "      "), _dumps([v.name for v in violations], "      ")
 
 
 def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
     """Append the "rows" list to `out`, indented as the value of a top-level
-    key."""
+    key: each row in the layout `json.dumps(sort_keys=True, indent=2)` gives
+    an object, keys sorted, each nesting level two spaces deeper.
+
+    Every value is a number, a boolean or a string from a fixed ASCII
+    vocabulary (hex words, enum names, action labels, write outcomes), so
+    nothing needs escaping.  The "ctrl" value and "ctrl_bits" entry are
+    worked out once per register value, and the "actions" and "violations"
+    values once per pair of tuples by `_pair_json`.
+    """
     if not rows:
         out.append("[]")
         return
@@ -822,21 +797,42 @@ def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
         value = row.ctrl_after
         ctrl = ctrl_texts.get(value)
         if ctrl is None:
-            bits = _json_names(decode_bits(value), "      ")
+            bits = _dumps(decode_bits(value), "      ")
             ctrl = ctrl_texts[value] = f'"0x{value:04X}",\n      "ctrl_bits": {bits}'
         if row.violations or row.actions:
-            pair = _pair_text(row, pair_texts, _pair_json)
+            actions, violations = _pair_text(row, pair_texts, _pair_json)
         else:
-            pair = ("[]", "[]")  # a benign row's "actions" and "violations"
-        out.append(_row_json(row, ctrl, pair, sep))
+            actions = violations = "[]"  # a benign row has neither
+        ev = row.event
+        pc, daddr, dma_addr = ev.pc, ev.daddr, ev.dma_addr
+        out.append(
+            f"{sep}    {{\n"
+            f'      "actions": {actions},\n'
+            f'      "ctrl": {ctrl},\n'
+            f'      "cycle": {row.cycle},\n'
+            '      "event": {\n'
+            f'        "daddr": "0x{_HEX_BYTE[daddr >> 8]}{_HEX_BYTE[daddr & 0xFF]}",\n'
+            f'        "data": "0x{_HEX_BYTE[row.data]}",\n'
+            f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}",\n'
+            f'        "dma_en": {_JSON_BOOL[ev.dma_en]},\n'
+            f'        "irq": {_JSON_BOOL[ev.irq]},\n'
+            f'        "pc": "0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}",\n'
+            f'        "ren": {_JSON_BOOL[ev.ren]},\n'
+            f'        "wen": {_JSON_BOOL[ev.wen]}\n'
+            "      },\n"
+            f'      "mem_effect": "{row.mem_effect}",\n'
+            f'      "violations": {violations}\n'
+            "    }"
+        )
         sep = ",\n"
     out.append("\n  ]")
 
 
 def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
     """Append the "recovery_events" list to `out`, in the layout of
-    `_row_json`: each event's "after_cycle", "kind" and "boot", which is
-    null for a reflash and the reboot's report after a reset.
+    `_rows_json`: each event's "after_cycle", "kind" and "boot", which is
+    null for a reflash and the reboot's report after a reset.  A reset's
+    "boot" object is hand-written too, since it is written once per event.
 
     Event kinds and boot outcomes are fixed ASCII words and the digests
     hex, so nothing needs escaping.
@@ -885,27 +881,6 @@ def _pair_line(violations, actions) -> tuple[str, str]:
         " ".join(
             f"{rec.action.label()}{'' if rec.applied else '(subsumed)'}" for rec in actions
         ) or "-",
-    )
-
-
-def _row_to_text(row: CycleRow, pair_texts: dict) -> str:
-    """One row of the text form; `pair_texts` is `_pair_text`'s cache."""
-    ev = row.event
-    parts = [f"pc=0x{ev.pc:04X}"]
-    if ev.irq:
-        parts.append("irq")
-    if ev.dma_en:
-        op = "ren" if ev.ren else ("wen" if ev.wen else "idle")
-        parts.append(f"dma {op} 0x{ev.dma_addr:04X}")
-    elif ev.ren or ev.wen:
-        parts.append(f"{'ren' if ev.ren else 'wen'} 0x{ev.daddr:04X}")
-    if row.violations or row.actions:
-        viol, acts = _pair_text(row, pair_texts, _pair_line)
-    else:
-        viol = acts = "-"
-    return (
-        f"cycle {row.cycle:>4}: {' '.join(parts)} | {viol} | "
-        f"ctrl=0x{row.ctrl_after:04X} | {acts} | mem={row.mem_effect}"
     )
 
 
@@ -961,8 +936,6 @@ def run(scenario: Scenario) -> RunReport:
         if next_at < tick:
             next_at = serve(tick)
 
-        # idle gap cycles carry no bus activity; land the step on its label
-        state.cycle = label - 1
         mask = latch_event(state, event)
         if mask:
             violations = MASK_KINDS[mask]
@@ -1011,7 +984,10 @@ def run(scenario: Scenario) -> RunReport:
     else:
         serve(math.inf)
         report.exit_class = "violations" if pre_clear & DETECT_MASK else "clean"
-    _finalize(report, state)
+    report.final_ctrl = state.ctrl.value
+    report.final_r2 = state.r2.value
+    report.final_mode = state.r2.mode_name
+    report.final_digests = state.region_digests()
     return report
 
 
@@ -1023,13 +999,6 @@ def _service_reset(state: DeviceState) -> BootReport:
     state.recovery_queued = False
     state.r2 = ModeRegister()
     return fsbl_boot(state)
-
-
-def _finalize(report: RunReport, state: DeviceState) -> None:
-    report.final_ctrl = state.ctrl.value
-    report.final_r2 = state.r2.value
-    report.final_mode = state.r2.mode_name
-    report.final_digests = state.region_digests()
 
 
 # -- independent whole-trace oracle --------------------------------------
