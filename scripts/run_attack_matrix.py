@@ -42,16 +42,17 @@ def main() -> None:
     parser.add_argument("--json", action="store_true", help="print full machine reports")
     args = parser.parse_args()
 
-    header = f"{'kind':<14} {'bit':<16} {'ctrl':>6}  {'action':<24} {'mem':<10} exit"
+    reports = [run(single_attack_scenario(kind)) for kind in V]
+    bits = [" ".join(decode_bits(report.rows[0].ctrl_after)) for report in reports]
+    width = max(map(len, bits))
+    header = f"{'kind':<14} {'bit':<{width}} {'ctrl':>6}  {'action':<24} {'mem':<10} exit"
     print(header)
     print("-" * len(header))
-    for kind in V:
-        report = run(single_attack_scenario(kind))
+    for kind, report, bit in zip(V, reports, bits):
         row = report.rows[0]
         applied = next(rec for rec in row.actions if rec.applied)
-        bits = " ".join(decode_bits(row.ctrl_after))
         print(
-            f"{kind.name:<14} {bits:<16} 0x{row.ctrl_after:04X}  "
+            f"{kind.name:<14} {bit:<{width}} 0x{row.ctrl_after:04X}  "
             f"{applied.action.label():<24} {row.mem_effect:<10} {report.exit_class}"
         )
         if args.json:

@@ -21,7 +21,8 @@ remaining fields follow the encoding order above:
     request: 0x01 || nonce(32) || region_start(2 BE) || region_end(2 BE)
     report:  0x02 || er_min(2 BE) || er_max(2 BE) || exec_flag(1) || tag(32)
 
-A length prefix above 38, the report's size, is refused unread.
+Each layout is one `struct.Struct` constant below.  A length prefix above
+38, the report's size, is refused unread.
 """
 
 from __future__ import annotations
@@ -37,12 +38,17 @@ if TYPE_CHECKING:
     from .detector import AccessEvent
 
 NONCE_SIZE = 32
-TAG_SIZE = 32
 
 MSG_REQUEST = 0x01
 MSG_REPORT = 0x02
+# The layouts of the module docstring, each stated once: the two messages,
+# the tag input's window header, and the frame's length prefix.
+_REQUEST = struct.Struct(">B32sHH")
+_REPORT = struct.Struct(">BHHB32s")
+_WINDOW = struct.Struct(">HHB")
+_LENGTH = struct.Struct(">I")
 # The longest payload either side sends: a report (the request is 37 bytes).
-MAX_PAYLOAD = 1 + 4 + 1 + TAG_SIZE
+MAX_PAYLOAD = _REPORT.size
 
 
 class BadBoundsError(ValueError):
@@ -72,7 +78,7 @@ def check_window(layout: MemoryLayout, er_min: int, er_max: int) -> None:
         )
 
 
-def pox_begin(state: DeviceState, er_min: int, er_max: int) -> DeviceState:
+def pox_begin(state: DeviceState, er_min: int, er_max: int) -> None:
     """Arm an execution window over [er_min, er_max] inside app RAM.
 
     Re-arming replaces any window in progress.  The exec flag keeps its last
@@ -84,10 +90,9 @@ def pox_begin(state: DeviceState, er_min: int, er_max: int) -> DeviceState:
     em.er_max = er_max
     em.armed = True
     em.window_clean = True
-    return state
 
 
-def pox_observe(state: DeviceState, event: AccessEvent, mask: int) -> DeviceState:
+def pox_observe(state: DeviceState, event: AccessEvent, mask: int) -> None:
     """Watch one cycle of an armed window; `mask` holds the cycle's matched
     detection bits.
 
@@ -97,14 +102,13 @@ def pox_observe(state: DeviceState, event: AccessEvent, mask: int) -> DeviceStat
     """
     em = state.exec_meta
     if not em.armed:
-        return state
+        return
     if mask or event.irq or not em.er_min <= event.pc <= em.er_max:
         em.window_clean = False
         em.exec_flag = False
-    return state
 
 
-def pox_end(state: DeviceState) -> DeviceState:
+def pox_end(state: DeviceState) -> None:
     """Close the window; the exec flag becomes the window's verdict.
 
     Also renders the metadata view, so ``state.mem`` holds the closed
@@ -112,20 +116,18 @@ def pox_end(state: DeviceState) -> DeviceState:
     """
     em = state.exec_meta
     if not em.armed:
-        return state
+        return
     em.exec_flag = em.window_clean
     em.armed = False
     state.sync_metadata()
-    return state
 
 
-def pox_abort(state: DeviceState) -> DeviceState:
+def pox_abort(state: DeviceState) -> None:
     """System reset path: destroy any window and invalidate the proof."""
     em = state.exec_meta
     em.armed = False
     em.window_clean = False
     em.exec_flag = False
-    return state
 
 
 # -- challenge / response ----------------------------------------------
@@ -150,15 +152,12 @@ class AttestReport:
     tag: bytes
 
 
-def _tag_input(
-    nonce: bytes, er_min: int, er_max: int, exec_flag: bool, region_bytes: bytes
+def _tag(
+    key: bytes, nonce: bytes, er_min: int, er_max: int, exec_flag: bool, region_bytes: bytes
 ) -> bytes:
-    return (
-        nonce
-        + struct.pack(">HH", er_min & 0xFFFF, er_max & 0xFFFF)
-        + (b"\x01" if exec_flag else b"\x00")
-        + region_bytes
-    )
+    """The keyed digest of the tag input of the module docstring."""
+    window = _WINDOW.pack(er_min & 0xFFFF, er_max & 0xFFFF, exec_flag)
+    return hmac_sha256(key, nonce + window + region_bytes)
 
 
 def attest(state: DeviceState, req: AttestRequest) -> AttestReport:
@@ -172,9 +171,7 @@ def attest(state: DeviceState, req: AttestRequest) -> AttestReport:
     except ValueError as exc:
         raise BadBoundsError(str(exc)) from None
     em = state.exec_meta
-    tag = hmac_sha256(
-        state.key(), _tag_input(req.nonce, em.er_min, em.er_max, em.exec_flag, region)
-    )
+    tag = _tag(state.key(), req.nonce, em.er_min, em.er_max, em.exec_flag, region)
     return AttestReport(exec_flag=em.exec_flag, er_min=em.er_min, er_max=em.er_max, tag=tag)
 
 
@@ -190,11 +187,8 @@ def verify_report(
     Recomputes the tag (constant-time compare); with require_exec the report
     must additionally carry a true exec flag.
     """
-    expected_tag = hmac_sha256(
-        key,
-        _tag_input(
-            req.nonce, report.er_min, report.er_max, report.exec_flag, expected_region_bytes
-        ),
+    expected_tag = _tag(
+        key, req.nonce, report.er_min, report.er_max, report.exec_flag, expected_region_bytes
     )
     ok = hmac.compare_digest(expected_tag, report.tag)
     if require_exec:
@@ -206,49 +200,40 @@ def verify_report(
 
 
 def encode_request(req: AttestRequest) -> bytes:
-    return bytes([MSG_REQUEST]) + req.nonce + struct.pack(
-        ">HH", req.region_start, req.region_end
-    )
+    return _REQUEST.pack(MSG_REQUEST, req.nonce, req.region_start, req.region_end)
 
 
 def decode_request(payload: bytes) -> AttestRequest:
-    if len(payload) != 1 + NONCE_SIZE + 4 or payload[0] != MSG_REQUEST:
+    if len(payload) != _REQUEST.size or payload[0] != MSG_REQUEST:
         raise FrameError("malformed request payload")
-    start, end = struct.unpack(">HH", payload[1 + NONCE_SIZE:])
-    return AttestRequest(nonce=payload[1:1 + NONCE_SIZE], region_start=start, region_end=end)
+    _, nonce, start, end = _REQUEST.unpack(payload)
+    return AttestRequest(nonce=nonce, region_start=start, region_end=end)
 
 
 def encode_report(report: AttestReport) -> bytes:
-    return (
-        bytes([MSG_REPORT])
-        + struct.pack(">HH", report.er_min, report.er_max)
-        + (b"\x01" if report.exec_flag else b"\x00")
-        + report.tag
-    )
+    return _REPORT.pack(MSG_REPORT, report.er_min, report.er_max, report.exec_flag, report.tag)
 
 
 def decode_report(payload: bytes) -> AttestReport:
-    if len(payload) != 1 + 4 + 1 + TAG_SIZE or payload[0] != MSG_REPORT:
+    if len(payload) != _REPORT.size or payload[0] != MSG_REPORT:
         raise FrameError("malformed report payload")
-    er_min, er_max = struct.unpack(">HH", payload[1:5])
-    if payload[5] not in (0x00, 0x01):
+    _, er_min, er_max, flag, tag = _REPORT.unpack(payload)
+    if flag not in (0x00, 0x01):
         raise FrameError("exec flag byte must be 0x00 or 0x01")
-    return AttestReport(
-        exec_flag=payload[5] == 0x01, er_min=er_min, er_max=er_max, tag=payload[6:]
-    )
+    return AttestReport(exec_flag=flag == 0x01, er_min=er_min, er_max=er_max, tag=tag)
 
 
 def write_frame(stream: BinaryIO, payload: bytes) -> None:
-    stream.write(struct.pack(">I", len(payload)) + payload)
+    stream.write(_LENGTH.pack(len(payload)) + payload)
 
 
 def read_frame(stream: BinaryIO) -> bytes:
     """One payload; a length prefix above `MAX_PAYLOAD` is refused before
     anything is read or allocated for it."""
-    header = stream.read(4)
-    if len(header) != 4:
+    header = stream.read(_LENGTH.size)
+    if len(header) != _LENGTH.size:
         raise FrameError("truncated length prefix")
-    (length,) = struct.unpack(">I", header)
+    (length,) = _LENGTH.unpack(header)
     if length > MAX_PAYLOAD:
         raise FrameError(f"frame length {length} exceeds the {MAX_PAYLOAD}-byte maximum")
     payload = stream.read(length)

@@ -31,23 +31,7 @@ META_EXEC_OFF = META_DIGEST_OFF + DIGEST_SIZE
 
 
 class LayoutError(ValueError):
-    """Base for invalid region map definitions."""
-
-
-class OverlapError(LayoutError):
-    pass
-
-
-class MissingRegionError(LayoutError):
-    pass
-
-
-class DuplicateRegionError(LayoutError):
-    pass
-
-
-class KeyRomSizeError(LayoutError):
-    pass
+    """An invalid region map definition."""
 
 
 class UnmappedAddressError(KeyError):
@@ -143,8 +127,7 @@ class MemoryLayout:
 def build_layout(regions: list[tuple[RegionKind, int, int]] | None = None) -> MemoryLayout:
     """Validate a region list (each kind exactly once, disjoint, 16-bit bounds).
 
-    Raises MissingRegionError / DuplicateRegionError / OverlapError /
-    KeyRomSizeError / LayoutError on a malformed map.
+    Raises LayoutError on a malformed map.
     """
     if regions is None:
         regions = DEFAULT_REGIONS
@@ -152,7 +135,7 @@ def build_layout(regions: list[tuple[RegionKind, int, int]] | None = None) -> Me
     built: list[Region] = []
     for kind, start, end in regions:
         if kind in seen:
-            raise DuplicateRegionError(f"region {kind.value} supplied twice")
+            raise LayoutError(f"region {kind.value} supplied twice")
         seen.add(kind)
         if not (0 <= start <= ADDR_MASK and 0 <= end <= ADDR_MASK):
             raise LayoutError(f"region {kind.value} bounds outside 16-bit space")
@@ -161,16 +144,16 @@ def build_layout(regions: list[tuple[RegionKind, int, int]] | None = None) -> Me
         built.append(Region(kind, start, end))
     for kind in RegionKind:
         if kind not in seen:
-            raise MissingRegionError(f"region {kind.value} missing")
+            raise LayoutError(f"region {kind.value} missing")
     built.sort(key=lambda r: r.start)
     for a, b in zip(built, built[1:]):
         if b.start <= a.end:
-            raise OverlapError(
+            raise LayoutError(
                 f"regions {a.kind.value} and {b.kind.value} overlap at 0x{b.start:04X}"
             )
     key_rom = next(r for r in built if r.kind == RegionKind.KEY_ROM)
     if key_rom.size != KEY_SIZE:
-        raise KeyRomSizeError(f"key ROM must be {KEY_SIZE} bytes, got {key_rom.size}")
+        raise LayoutError(f"key ROM must be {KEY_SIZE} bytes, got {key_rom.size}")
     meta = next(r for r in built if r.kind == RegionKind.METADATA)
     if meta.size < 2:
         raise LayoutError("metadata region must hold at least the 2-byte register image")

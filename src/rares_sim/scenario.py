@@ -210,10 +210,14 @@ def _parse_flag(obj: dict, key: str, where: str) -> bool:
     return value
 
 
-def _check_fields(obj: dict, known, where: str) -> None:
+def _section(obj, known, where: str) -> dict:
+    """`obj`, checked to be an object with no field outside `known`."""
+    if not isinstance(obj, dict):
+        raise ScenarioSemanticError(f"{where}: expected an object")
     unknown = set(obj) - known
     if unknown:
         raise ScenarioSemanticError(f"{where}: unknown fields {', '.join(sorted(unknown))}")
+    return obj
 
 
 def _parse_cycle(value, where: str) -> int:
@@ -278,7 +282,7 @@ def _parse_binding(obj) -> PreventionBinding:
         if isinstance(entry, str):
             action_name, mask = entry, None
         elif isinstance(entry, dict):
-            _check_fields(entry, _BINDING_KEYS, f"binding.{name}")
+            _section(entry, _BINDING_KEYS, f"binding.{name}")
             action_name = entry.get("action")
             mask = entry.get("mask")
         else:
@@ -343,10 +347,7 @@ def parse_scenario(text: str) -> Scenario:
 
     if layout.region(RegionKind.RECOVERY_ROM).size < flash_size:
         raise ScenarioSemanticError(f"layout: recovery_rom smaller than flash ({flash_size} bytes)")
-    golden_obj = obj.get("golden", {})
-    if not isinstance(golden_obj, dict):
-        raise ScenarioSemanticError("golden: expected an object")
-    _check_fields(golden_obj, _GOLDEN_KEYS, "golden")
+    golden_obj = _section(obj.get("golden", {}), _GOLDEN_KEYS, "golden")
     image = _region_fill(
         _parse_hex(golden_obj.get("image", ""), "golden.image"), flash_size, "golden.image"
     )
@@ -387,10 +388,7 @@ def parse_scenario(text: str) -> Scenario:
 
     pox = None
     if "pox" in obj:
-        pobj = obj["pox"]
-        if not isinstance(pobj, dict):
-            raise ScenarioSemanticError("pox: expected an object")
-        _check_fields(pobj, _POX_KEYS, "pox")
+        pobj = _section(obj["pox"], _POX_KEYS, "pox")
         pox = PoxWindow(
             begin_cycle=_parse_cycle(pobj.get("begin_cycle"), "pox.begin_cycle"),
             end_cycle=_parse_cycle(pobj.get("end_cycle"), "pox.end_cycle"),
@@ -410,9 +408,7 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioSemanticError("attest: expected an array")
     for i, aobj in enumerate(raw_attest):
         where = f"attest[{i}]"
-        if not isinstance(aobj, dict):
-            raise ScenarioSemanticError(f"{where}: expected an object")
-        _check_fields(aobj, _ATTEST_KEYS, where)
+        _section(aobj, _ATTEST_KEYS, where)
         nonce = _parse_hex(aobj.get("nonce", ""), f"{where}.nonce")
         if len(nonce) != NONCE_SIZE:
             raise ScenarioSemanticError(f"{where}.nonce: must be {NONCE_SIZE} bytes")
@@ -448,9 +444,7 @@ def parse_scenario(text: str) -> Scenario:
 def _parse_step(tobj, where: str, last_cycle: int) -> TraceStep:
     """One trace row through the per-field helpers, which own every
     trace-row message: raises the row's located error or builds it."""
-    if not isinstance(tobj, dict):
-        raise ScenarioSemanticError(f"{where}: expected an object")
-    _check_fields(tobj, _TRACE_DEFAULTS.keys(), where)
+    _section(tobj, _TRACE_DEFAULTS.keys(), where)
     cycle = _parse_cycle(tobj.get("cycle"), f"{where}.cycle")
     if cycle <= last_cycle:
         raise ScenarioSemanticError(f"{where}.cycle: non-monotone cycle {cycle}")
@@ -743,7 +737,6 @@ def _dumps(value, indent: str) -> str:
     return json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + indent)
 
 
-_JSON_BOOL = ("false", "true")
 # Two upper-case hex digits per byte value: two lookups write a 16-bit word
 # in about half the time of an f-string format spec.
 _HEX_BYTE = tuple(f"{b:02X}" for b in range(256))
@@ -814,11 +807,11 @@ def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
             f'        "daddr": "0x{_HEX_BYTE[daddr >> 8]}{_HEX_BYTE[daddr & 0xFF]}",\n'
             f'        "data": "0x{_HEX_BYTE[row.data]}",\n'
             f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}",\n'
-            f'        "dma_en": {_JSON_BOOL[ev.dma_en]},\n'
-            f'        "irq": {_JSON_BOOL[ev.irq]},\n'
+            f'        "dma_en": {"true" if ev.dma_en else "false"},\n'
+            f'        "irq": {"true" if ev.irq else "false"},\n'
             f'        "pc": "0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}",\n'
-            f'        "ren": {_JSON_BOOL[ev.ren]},\n'
-            f'        "wen": {_JSON_BOOL[ev.wen]}\n'
+            f'        "ren": {"true" if ev.ren else "false"},\n'
+            f'        "wen": {"true" if ev.wen else "false"}\n'
             "      },\n"
             f'      "mem_effect": "{row.mem_effect}",\n'
             f'      "violations": {violations}\n'

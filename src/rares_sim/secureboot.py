@@ -36,7 +36,7 @@ def verify_flash(state: DeviceState) -> tuple[bool, bytes]:
     return hmac.compare_digest(digest, state.reference_digest), digest
 
 
-def reflash(state: DeviceState) -> DeviceState:
+def reflash(state: DeviceState) -> None:
     """Rewrite flash from the golden image and close the resilience cycle.
 
     Clears detection bits D0-D9, the CPU halt, and `recovery_queued`, which
@@ -49,7 +49,6 @@ def reflash(state: DeviceState) -> DeviceState:
     state.ctrl.clear_detection_bits()
     state.cpu_halted = False
     state.recovery_queued = False
-    return state
 
 
 def fsbl_boot(state: DeviceState) -> BootReport:

@@ -88,6 +88,20 @@ MUTANTS = [
         ["tests/test_cli.py::test_run_output_does_not_depend_on_the_hash_seed"],
     ),
     (
+        "a request's fields go on the wire little-endian",
+        "src/rares_sim/attestation.py",
+        '_REQUEST = struct.Struct(">B',
+        '_REQUEST = struct.Struct("<B',
+        ["tests/test_attestation.py::test_wire_bytes_and_tag_known_answer"],
+    ),
+    (
+        "a report's fields go on the wire little-endian",
+        "src/rares_sim/attestation.py",
+        '_REPORT = struct.Struct(">B',
+        '_REPORT = struct.Struct("<B',
+        ["tests/test_attestation.py::test_wire_bytes_and_tag_known_answer"],
+    ),
+    (
         "the stdlib-written sections keep insertion order",
         "src/rares_sim/scenario.py",
         "json.dumps(value, sort_keys=True, indent=2).replace(",

@@ -1,6 +1,7 @@
 """Keyed digest, proof-of-execution windows, reports, and wire framing."""
 
 import hashlib
+import hmac
 import io
 import struct
 import tracemalloc
@@ -332,6 +333,33 @@ def test_oversized_length_prefix_is_refused_before_reading(length):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+# One request and its report, byte by byte from the README's "Wire format":
+# a type byte, then big-endian fields; each frame a 4-byte big-endian length
+# and the payload.
+KAT_REQUEST = "01" + "00112233445566778899aabbccddeeff" * 2 + "4000" "4003"
+KAT_TAG_INPUT = "00112233445566778899aabbccddeeff" * 2 + "4100" "41ff" "01" "deadbeef"
+
+
+def test_wire_bytes_and_tag_known_answer(state):
+    state.mem[RegionKind.APP_RAM][:4] = bytes.fromhex("deadbeef")
+    pox_begin(state, 0x4100, 0x41FF)
+    pox_end(state)
+    req = AttestRequest(nonce=NONCE, region_start=0x4000, region_end=0x4003)
+    report = attest(state, req)
+    tag = hmac.new(bytes(range(32)), bytes.fromhex(KAT_TAG_INPUT), "sha256").digest()
+    assert report.tag == tag
+    kat_report = "02" "4100" "41ff" "01" + tag.hex()
+    assert encode_request(req).hex() == KAT_REQUEST
+    assert encode_report(report).hex() == kat_report
+    assert decode_request(bytes.fromhex(KAT_REQUEST)) == req
+    assert decode_report(bytes.fromhex(kat_report)) == report
+    stream = io.BytesIO()
+    write_frame(stream, encode_request(req))
+    write_frame(stream, encode_report(report))
+    assert stream.getvalue().hex() == "00000025" + KAT_REQUEST + "00000026" + kat_report
+    assert verify_report(bytes(range(32)), req, report, bytes.fromhex("deadbeef"))
 
 
 def test_served_exchange_matches_direct_call(state):

@@ -21,12 +21,8 @@ from rares_sim.detector import AccessEvent, step
 from rares_sim.memory import (
     DEFAULT_REGIONS,
     DeviceState,
-    DuplicateRegionError,
     GoldenImage,
-    KeyRomSizeError,
     LayoutError,
-    MissingRegionError,
-    OverlapError,
     Region,
     RegionKind,
     ROM_KINDS,
@@ -82,13 +78,13 @@ def test_classify_known_addresses(layout, addr, kind):
 
 def test_duplicate_region_rejected():
     regions = DEFAULT_REGIONS + [(RegionKind.FLASH, 0xF000, 0xF7FF)]
-    with pytest.raises(DuplicateRegionError):
+    with pytest.raises(LayoutError, match="^region flash supplied twice$"):
         build_layout(regions)
 
 
 def test_missing_region_rejected():
     regions = [r for r in DEFAULT_REGIONS if r[0] is not RegionKind.METADATA]
-    with pytest.raises(MissingRegionError):
+    with pytest.raises(LayoutError, match="^region metadata missing$"):
         build_layout(regions)
 
 
@@ -101,7 +97,7 @@ def test_overlap_rejected():
         (RegionKind.BOOT_ROM, 0x5F00, 0x69FF) if kind is RegionKind.BOOT_ROM else (kind, s, e)
         for kind, s, e in regions
     ]
-    with pytest.raises(OverlapError):
+    with pytest.raises(LayoutError, match="^regions app_ram and boot_rom overlap at 0x5F00$"):
         build_layout(regions)
 
 
@@ -119,7 +115,7 @@ def test_key_rom_must_hold_exactly_the_key():
         (kind, 0x6A00, 0x6A0F) if kind is RegionKind.KEY_ROM else (kind, s, e)
         for kind, s, e in DEFAULT_REGIONS
     ]
-    with pytest.raises(KeyRomSizeError):
+    with pytest.raises(LayoutError, match="^key ROM must be 32 bytes, got 16$"):
         build_layout(regions)
 
 

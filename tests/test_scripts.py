@@ -26,6 +26,13 @@ def test_attack_matrix_prints_one_row_per_kind():
     assert [row.split()[0] for row in rows] == [kind.name for kind in ViolationKind]
 
 
+def test_attack_matrix_columns_line_up():
+    result = run_script("run_attack_matrix.py")
+    assert result.returncode == 0, result.stderr
+    rows = result.stdout.splitlines()[2:]
+    assert len({row.index(" 0x") for row in rows}) == 1, rows
+
+
 def test_attack_matrix_json_prints_one_report_per_kind():
     result = run_script("run_attack_matrix.py", "--json")
     assert result.returncode == 0, result.stderr
