@@ -10,7 +10,7 @@ import argparse
 import dataclasses
 
 from rares_sim.detector import AccessEvent, ViolationKind, decode_bits
-from rares_sim.scenario import Scenario, TraceStep, parse_scenario, run
+from rares_sim.scenario import Scenario, Trace, TraceStep, parse_scenario, run
 
 V = ViolationKind
 
@@ -33,7 +33,7 @@ def single_attack_scenario(kind: ViolationKind) -> Scenario:
     return dataclasses.replace(
         parse_scenario("{}"),
         name=f"attack-{kind.name.lower()}",
-        trace=[TraceStep(cycle=1, event=ATTACKS[kind], data=0xFF)],
+        trace=Trace.from_steps([TraceStep(cycle=1, event=ATTACKS[kind], data=0xFF)]),
     )
 
 

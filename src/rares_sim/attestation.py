@@ -30,12 +30,9 @@ from __future__ import annotations
 import hmac
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, BinaryIO
+from typing import BinaryIO
 
-from .memory import DeviceState, MemoryLayout, RegionKind
-
-if TYPE_CHECKING:
-    from .detector import AccessEvent
+from .memory import DIGEST_SIZE, DeviceState, MemoryLayout, RegionKind
 
 NONCE_SIZE = 32
 
@@ -92,9 +89,9 @@ def pox_begin(state: DeviceState, er_min: int, er_max: int) -> None:
     em.window_clean = True
 
 
-def pox_observe(state: DeviceState, event: AccessEvent, mask: int) -> None:
-    """Watch one cycle of an armed window; `mask` holds the cycle's matched
-    detection bits.
+def pox_observe(state: DeviceState, pc: int, irq: int, mask: int) -> None:
+    """Watch one cycle of an armed window: its program counter, its
+    interrupt line (nonzero when raised) and its matched detection bits.
 
     Any violation, any interrupt, or any program-counter excursion outside
     the window bounds breaches it: the exec flag drops immediately and stays
@@ -103,7 +100,7 @@ def pox_observe(state: DeviceState, event: AccessEvent, mask: int) -> None:
     em = state.exec_meta
     if not em.armed:
         return
-    if mask or event.irq or not em.er_min <= event.pc <= em.er_max:
+    if mask or irq or not em.er_min <= pc <= em.er_max:
         em.window_clean = False
         em.exec_flag = False
 
@@ -150,6 +147,10 @@ class AttestReport:
     er_min: int
     er_max: int
     tag: bytes
+
+    def __post_init__(self):
+        if len(self.tag) != DIGEST_SIZE:
+            raise ValueError(f"tag must be {DIGEST_SIZE} bytes, got {len(self.tag)}")
 
 
 def _tag(

@@ -230,6 +230,16 @@ RULE_MASKS = _build_rule_masks()
 MASK_KINDS = _build_mask_kinds()
 
 
+# An event's four flags packed into one integer: the low four bits of a
+# `RULE_MASKS` index, in the order `_build_rule_masks` nests them.
+IRQ, REN, WEN, DMA_EN = 1, 2, 4, 8
+
+
+def event_flags(event: AccessEvent) -> int:
+    """`event`'s flags, packed as IRQ | REN | WEN | DMA_EN."""
+    return event.irq | event.ren << 1 | event.wen << 2 | event.dma_en << 3
+
+
 def event_mask(layout: MemoryLayout, event: AccessEvent) -> int:
     """The detection bits an event matches: R1-R8 as one table lookup.
 
@@ -237,15 +247,8 @@ def event_mask(layout: MemoryLayout, event: AccessEvent) -> int:
     pc code, target code and the four flags into 10 bits.
     """
     index = layout.index
-    dma_en = event.dma_en
-    return RULE_MASKS[
-        index[event.pc] << 7
-        | index[event.dma_addr if dma_en else event.daddr] << 4
-        | dma_en << 3
-        | event.wen << 2
-        | event.ren << 1
-        | event.irq
-    ]
+    target = event.dma_addr if event.dma_en else event.daddr
+    return RULE_MASKS[index[event.pc] << 7 | index[target] << 4 | event_flags(event)]
 
 
 def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
@@ -253,18 +256,27 @@ def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
     return set(MASK_KINDS[event_mask(layout, event)])
 
 
-def latch_event(state: DeviceState, event: AccessEvent) -> int:
+def latch_cycle(state: DeviceState, pc: int, target: int, flags: int) -> int:
     """Advance one machine clock cycle; return the matched mask.
 
-    Latches the matched bits within the same cycle, bumps the cycle counter,
-    and feeds the event to the proof-of-execution observer.
+    The one detection path: `event_mask`'s lookup for a cycle given as its
+    pc, its target address and its packed flags.  Latches the matched bits
+    within the same cycle, bumps the cycle counter, and feeds the cycle to
+    the proof-of-execution observer.
     """
-    mask = event_mask(state.layout, event)
+    index = state.layout.index
+    mask = RULE_MASKS[index[pc] << 7 | index[target] << 4 | flags]
     if mask:
         state.ctrl.latch(mask)
     state.cycle += 1
-    pox_observe(state, event, mask)
+    pox_observe(state, pc, flags & IRQ, mask)
     return mask
+
+
+def latch_event(state: DeviceState, event: AccessEvent) -> int:
+    """`latch_cycle` for one event."""
+    target = event.dma_addr if event.dma_en else event.daddr
+    return latch_cycle(state, event.pc, target, event_flags(event))
 
 
 def step(state: DeviceState, event: AccessEvent) -> set[ViolationKind]:

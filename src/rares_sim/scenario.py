@@ -37,6 +37,12 @@ other error names its field.  The trace rows are validated in one loop
 (`_parse_step`), which own each message, so both paths accept the same rows
 and say the same thing.
 
+The parsed trace is a `Trace`: one column per field (cycle labels in a list,
+so they stay unbounded; addresses in 16-bit arrays; data and the packed
+flags in byte arrays), read as a sequence of `TraceStep`s built on demand.
+A run's rows are columns too (`Rows`), indexing into that trace; the report
+writers read the columns, and `rows[i]` builds a `CycleRow`.
+
 Unknown keys are rejected at every level: at the top, in trace rows, in
 the golden, pox and attest objects and in binding entries; only
 soft_mode_switch takes a mask.
@@ -62,6 +68,8 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from functools import partial
 from operator import itemgetter
@@ -79,7 +87,18 @@ from .attestation import (
     pox_end,
 )
 from .detector import (
-    DETECT_MASK, MASK_KINDS, RESET_MASK, AccessEvent, ViolationKind, decode_bits, latch_event,
+    DETECT_MASK,
+    DMA_EN,
+    IRQ,
+    MASK_KINDS,
+    REN,
+    RESET_MASK,
+    WEN,
+    AccessEvent,
+    ViolationKind,
+    decode_bits,
+    event_flags,
+    latch_cycle,
 )
 from .memory import (
     DEFAULT_REGIONS,
@@ -132,6 +151,100 @@ class TraceStep:
     data: int = 0x00
 
 
+def _slot_setters(cls) -> tuple:
+    """The slot descriptors' setters of a slotted dataclass, in field order."""
+    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
+
+
+_SET_EVENT = _slot_setters(AccessEvent)
+_SET_STEP = _slot_setters(TraceStep)
+# Each packed flags value's (irq, ren, wen, dma_en), as booleans.
+_FLAG_BOOLS = tuple(
+    tuple(bool(flags & bit) for bit in (IRQ, REN, WEN, DMA_EN)) for flags in range(16)
+)
+
+
+def _step(cycle: int, pc: int, daddr: int, dma_addr: int, data: int, flags: int) -> TraceStep:
+    """One cycle of a `Trace` as a TraceStep, built through the slot setters:
+    the columns hold values the parser or `AccessEvent` has checked."""
+    set_pc, set_irq, set_ren, set_wen, set_daddr, set_dma_en, set_dma_addr = _SET_EVENT
+    set_cycle, set_event, set_data = _SET_STEP
+    irq, ren, wen, dma_en = _FLAG_BOOLS[flags]
+    event = object.__new__(AccessEvent)
+    set_pc(event, pc)
+    set_irq(event, irq)
+    set_ren(event, ren)
+    set_wen(event, wen)
+    set_daddr(event, daddr)
+    set_dma_en(event, dma_en)
+    set_dma_addr(event, dma_addr)
+    step = object.__new__(TraceStep)
+    set_cycle(step, cycle)
+    set_event(step, event)
+    set_data(step, data)
+    return step
+
+
+class _Columns(Sequence):
+    """A read-only sequence held as columns; `_item(i)` builds item i, for
+    `0 <= i < len(self)`, when it is indexed."""
+
+    __slots__ = ()
+
+    def __getitem__(self, i):
+        picked = range(len(self))[i]
+        if isinstance(picked, range):
+            return [self._item(k) for k in picked]
+        return self._item(picked)
+
+
+class Trace(_Columns):
+    """A bus trace as columns, one entry per cycle: the labels (a list, since
+    labels are unbounded), pc, daddr and dma_addr (16-bit arrays), the data
+    byte, and the flags packed as `event_flags` packs them, the low four bits
+    of a `RULE_MASKS` index.  Read as a sequence of `TraceStep`s."""
+
+    __slots__ = ("cycle", "pc", "daddr", "dma_addr", "data", "flags")
+
+    def __init__(self):
+        self.cycle: list[int] = []
+        self.pc = array("H")
+        self.daddr = array("H")
+        self.dma_addr = array("H")
+        self.data = bytearray()
+        self.flags = bytearray()
+
+    @classmethod
+    def from_steps(cls, steps) -> Trace:
+        """The trace of `steps`, TraceSteps in cycle order."""
+        trace = cls()
+        for step in steps:
+            trace._add(step)
+        return trace
+
+    def _add(self, step: TraceStep) -> None:
+        event = step.event
+        self.cycle.append(step.cycle)
+        self.pc.append(event.pc)
+        self.daddr.append(event.daddr)
+        self.dma_addr.append(event.dma_addr)
+        self.data.append(step.data)
+        self.flags.append(event_flags(event))
+
+    def columns(self) -> tuple:
+        """The columns, in `_step`'s argument order."""
+        return self.cycle, self.pc, self.daddr, self.dma_addr, self.data, self.flags
+
+    def __len__(self) -> int:
+        return len(self.cycle)
+
+    def _item(self, i: int) -> TraceStep:
+        return _step(*[column[i] for column in self.columns()])
+
+    def __iter__(self):
+        return map(_step, *self.columns())
+
+
 @dataclass(frozen=True)
 class PoxWindow:
     begin_cycle: int
@@ -156,7 +269,7 @@ class Scenario:
     binding: PreventionBinding
     pox: PoxWindow | None
     attest_requests: list[AttestAt]
-    trace: list[TraceStep]
+    trace: Trace
 
 
 # -- parsing helpers ----------------------------------------------------
@@ -464,34 +577,26 @@ def _parse_step(tobj, where: str, last_cycle: int) -> TraceStep:
     return TraceStep(cycle=cycle, event=event, data=data)
 
 
-def _slot_setters(cls) -> tuple:
-    """The slot descriptors' setters of a slotted dataclass, in field order."""
-    return tuple(cls.__dict__[f.name].__set__ for f in fields(cls))
-
-
-def _parse_trace(raw_trace: list) -> list[TraceStep]:
+def _parse_trace(raw_trace: list) -> Trace:
     """The trace rows, validated in one loop.
 
     A row is merged over `_TRACE_DEFAULTS`; the merge keeps nine keys, in
     field order, exactly when the row names no unknown key.  A row whose
     values are then of exact JSON types, in range, not both ren and wen, and
-    whose cycle increases is built here through the slot setters, without
-    the `AccessEvent.__post_init__` checks this loop has just made.  Every
-    other row goes through `_parse_step`, so the per-field helpers decide
-    what is accepted and say what is wrong, as they do for the rest of the
-    scenario.
+    whose cycle increases goes straight into the columns, without the
+    `AccessEvent.__post_init__` checks this loop has just made.  Every other
+    row goes through `_parse_step`, so the per-field helpers decide what is
+    accepted and say what is wrong, as they do for the rest of the scenario.
     """
-    new = object.__new__
-    set_pc, set_irq, set_ren, set_wen, set_daddr, set_dma_en, set_dma_addr = _slot_setters(
-        AccessEvent
+    trace = Trace()
+    add_cycle, add_pc, add_daddr = trace.cycle.append, trace.pc.append, trace.daddr.append
+    add_dma_addr, add_data, add_flags = (
+        trace.dma_addr.append, trace.data.append, trace.flags.append
     )
-    set_cycle, set_event, set_data = _slot_setters(TraceStep)
     defaults = _TRACE_DEFAULTS
     nkeys = len(defaults)
-    trace: list[TraceStep] = []
-    append = trace.append
     last_cycle = 0
-    for i, tobj in enumerate(raw_trace):
+    for tobj in raw_trace:
         if type(tobj) is dict:
             row = defaults | tobj
             if len(row) == nkeys:
@@ -517,23 +622,17 @@ def _parse_trace(raw_trace: list) -> list[TraceStep]:
                     and type(wen) is bool and type(dma_en) is bool
                     and not (ren and wen)
                 ):
-                    event = new(AccessEvent)
-                    set_pc(event, pc)
-                    set_irq(event, irq)
-                    set_ren(event, ren)
-                    set_wen(event, wen)
-                    set_daddr(event, daddr)
-                    set_dma_en(event, dma_en)
-                    set_dma_addr(event, dma_addr)
-                    step = new(TraceStep)
-                    set_cycle(step, cycle)
-                    set_event(step, event)
-                    set_data(step, data)
-                    append(step)
+                    add_cycle(cycle)
+                    add_pc(pc)
+                    add_daddr(daddr)
+                    add_dma_addr(dma_addr)
+                    add_data(data)
+                    add_flags(irq | ren << 1 | wen << 2 | dma_en << 3)  # as `event_flags` packs
                     last_cycle = cycle
                     continue
-        step = _parse_step(tobj, f"trace[{i}]", last_cycle)
-        append(step)
+        # every row before this one is in the columns, so their length is its index
+        step = _parse_step(tobj, f"trace[{len(trace)}]", last_cycle)
+        trace._add(step)
         last_cycle = step.cycle
     return trace
 
@@ -566,10 +665,10 @@ def build_device(scenario: Scenario) -> DeviceState:
 
 @dataclass(slots=True)
 class CycleRow:
-    """One replayed cycle.  `violations` and `actions` are the immutable
-    tuples its violation mask already has, `MASK_KINDS[mask]` and the
-    binding's plan records, so rows with one mask share them; benign rows
-    share ()."""
+    """One replayed cycle, as `Rows` builds it.  `violations` and `actions`
+    are the immutable tuples its violation mask already has,
+    `MASK_KINDS[mask]` and the binding's plan records, so rows with one mask
+    share them; benign rows share ()."""
 
     cycle: int
     event: AccessEvent
@@ -578,6 +677,50 @@ class CycleRow:
     ctrl_after: int
     actions: tuple[ActionRecord, ...]
     mem_effect: str  # applied | suppressed | unmapped | none
+
+
+# A row's memory effect, stored as its index in this tuple.
+MEM_EFFECTS = ("none", "applied", "suppressed", "unmapped")
+_EFFECT_CODES = {name: code for code, name in enumerate(MEM_EFFECTS)}
+
+
+class Rows(_Columns):
+    """The replayed cycles of a run as columns: the register after each
+    cycle, its violation mask and its memory effect's code, beside the
+    trace and binding they index into.  Read as a sequence of `CycleRow`s.
+
+    The rows cover the trace's first `len(self)` cycles: fewer than the
+    trace holds when an unrecoverable reboot ends the run.
+    """
+
+    __slots__ = ("trace", "binding", "ctrl_after", "mask", "mem_effect")
+
+    def __init__(self, trace: Trace, binding: PreventionBinding):
+        self.trace = trace
+        self.binding = binding
+        self.ctrl_after = array("H")
+        self.mask = array("H")
+        self.mem_effect = bytearray()
+
+    def __len__(self) -> int:
+        return len(self.mask)
+
+    def _row(self, step: TraceStep, ctrl_after: int, mask: int, effect: int) -> CycleRow:
+        return CycleRow(
+            step.cycle, step.event, step.data, MASK_KINDS[mask], ctrl_after,
+            self.binding.plan(mask)[0], MEM_EFFECTS[effect],
+        )
+
+    def _item(self, i: int) -> CycleRow:
+        return self._row(self.trace[i], self.ctrl_after[i], self.mask[i], self.mem_effect[i])
+
+    def __iter__(self):
+        return map(self._row, self.trace, self.ctrl_after, self.mask, self.mem_effect)
+
+    def columns(self) -> tuple:
+        """The trace's columns, then ctrl_after, mask and mem_effect; zipped,
+        they stop at the last row."""
+        return *self.trace.columns(), self.ctrl_after, self.mask, self.mem_effect
 
 
 @dataclass
@@ -598,7 +741,7 @@ class AttestAnswer:
 class RunReport:
     scenario_name: str
     boot: BootReport
-    rows: list[CycleRow] = field(default_factory=list)
+    rows: Rows
     recovery_events: list[RecoveryEvent] = field(default_factory=list)
     attest_answers: list[AttestAnswer] = field(default_factory=list)
     pre_clear_ctrl: int = 0
@@ -615,8 +758,8 @@ class RunReport:
         """Machine form; byte-identical across repeated runs.
 
         The document is written as ``json.dumps(doc, sort_keys=True,
-        indent=2) + "\\n"`` would write it: the rows and the recovery events
-        straight from the CycleRow and RecoveryEvent objects by the
+        indent=2) + "\\n"`` would write it: the rows straight from their
+        columns and the recovery events from their objects, by the
         hand-written templates of `_rows_json` and `_events_json`, every
         other section by `_dumps`.  Every fragment goes into one list that is
         joined once, so the text is built without intermediate copies of the
@@ -654,29 +797,26 @@ class RunReport:
     def to_text(self, show_pre_clear: bool = False) -> str:
         lines = [f"scenario: {self.scenario_name}", *_boot_lines(self.boot)]
         boundary = {ev.after_cycle: ev for ev in self.recovery_events}
-        pair_texts: dict[tuple[int, int], tuple[str, str]] = {}
-        for row in self.rows:
-            event = row.event
-            parts = [f"pc=0x{event.pc:04X}"]
-            if event.irq:
-                parts.append("irq")
-            if event.dma_en:
-                op = "ren" if event.ren else ("wen" if event.wen else "idle")
-                parts.append(f"dma {op} 0x{event.dma_addr:04X}")
-            elif event.ren or event.wen:
-                parts.append(f"{'ren' if event.ren else 'wen'} 0x{event.daddr:04X}")
-            if row.violations or row.actions:
-                viol, acts = _pair_text(row, pair_texts, _pair_line)
+        plan = self.rows.binding.plan
+        pair_texts: dict[int, tuple[str, str]] = {}
+        for cycle, pc, daddr, dma_addr, _, flags, ctrl, mask, effect in zip(*self.rows.columns()):
+            access = _ACCESS_WORDS[flags]
+            if flags & (DMA_EN | REN | WEN):
+                target = dma_addr if flags & DMA_EN else daddr
+                access = f"{access} 0x{_HEX_BYTE[target >> 8]}{_HEX_BYTE[target & 0xFF]}"
+            if mask:
+                viol, acts = _pair_text(mask, pair_texts, plan, _pair_line)
             else:
                 viol = acts = "-"
             lines.append(
-                f"cycle {row.cycle:>4}: {' '.join(parts)} | {viol} | "
-                f"ctrl=0x{row.ctrl_after:04X} | {acts} | mem={row.mem_effect}"
+                f"cycle {cycle:>4}: pc=0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}{access} | "
+                f"{viol} | ctrl=0x{_HEX_BYTE[ctrl >> 8]}{_HEX_BYTE[ctrl & 0xFF]} | {acts} | "
+                f"mem={MEM_EFFECTS[effect]}"
             )
-            ev = boundary.get(row.cycle)
+            ev = boundary.get(cycle)
             if ev is not None:
                 tail = f" -> boot {ev.boot.outcome.value}" if ev.boot else ""
-                lines.append(f"  [boundary {row.cycle}] {ev.kind}{tail}")
+                lines.append(f"  [boundary {cycle}] {ev.kind}{tail}")
         for ans in self.attest_answers:
             r = ans.report
             lines.append(
@@ -742,21 +882,14 @@ def _dumps(value, indent: str) -> str:
 _HEX_BYTE = tuple(f"{b:02X}" for b in range(256))
 
 
-def _pair_text(row: CycleRow, texts: dict, render) -> tuple[str, str]:
-    """`render(row.violations, row.actions)`, worked out once per distinct
-    pair of tuples and kept in `texts`.  Writers call it only for rows with
-    violations or actions; a benign row's text is a constant.
-
-    The key is the two objects' identity: rows with one violation mask share
-    both tuples, and the rows keep them alive while a writer runs, so an id
-    is never reused within one call.  Equal but distinct tuples just get
-    entries of their own.
-    """
-    violations, actions = row.violations, row.actions
-    key = (id(violations), id(actions))
-    text = texts.get(key)
+def _pair_text(mask: int, texts: dict, plan, render) -> tuple[str, str]:
+    """`render(violations, actions)` of a row with violation mask `mask`,
+    worked out once per mask and kept in `texts`; `plan` is the binding's.
+    Writers call it only for rows with violations; a benign row's text is a
+    constant."""
+    text = texts.get(mask)
     if text is None:
-        text = texts[key] = render(violations, actions)
+        text = texts[mask] = render(MASK_KINDS[mask], plan(mask)[0])
     return text
 
 
@@ -769,7 +902,30 @@ def _pair_json(violations, actions) -> tuple[str, str]:
     return _dumps(records, "      "), _dumps([v.name for v in violations], "      ")
 
 
-def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
+def _json_bool(value: int) -> str:
+    return "true" if value else "false"
+
+
+# A row's event text between the dma_addr and pc words, per packed flags
+# value, and from the pc word to its "violations" value, per memory effect
+# code and flags: the text that depends on nothing else is written as one.
+_MID_JSON = tuple(
+    f'",\n        "dma_en": {_json_bool(flags & DMA_EN)},\n'
+    f'        "irq": {_json_bool(flags & IRQ)},\n'
+    '        "pc": "0x'
+    for flags in range(16)
+)
+_TAIL_JSON = tuple(
+    f'",\n        "ren": {_json_bool(flags & REN)},\n'
+    f'        "wen": {_json_bool(flags & WEN)}\n'
+    "      },\n"
+    f'      "mem_effect": "{effect}",\n'
+    '      "violations": '
+    for effect in MEM_EFFECTS for flags in range(16)
+)
+
+
+def _rows_json(rows: Rows, out: list[str]) -> None:
     """Append the "rows" list to `out`, indented as the value of a top-level
     key: each row in the layout `json.dumps(sort_keys=True, indent=2)` gives
     an object, keys sorted, each nesting level two spaces deeper.
@@ -778,43 +934,35 @@ def _rows_json(rows: list[CycleRow], out: list[str]) -> None:
     vocabulary (hex words, enum names, action labels, write outcomes), so
     nothing needs escaping.  The "ctrl" value and "ctrl_bits" entry are
     worked out once per register value, and the "actions" and "violations"
-    values once per pair of tuples by `_pair_json`.
+    values once per violation mask by `_pair_json`.
     """
     if not rows:
         out.append("[]")
         return
+    plan = rows.binding.plan
     ctrl_texts: dict[int, str] = {}
-    pair_texts: dict[tuple[int, int], tuple[str, str]] = {}
+    pair_texts: dict[int, tuple[str, str]] = {}
     sep = "[\n"
-    for row in rows:
-        value = row.ctrl_after
+    for cycle, pc, daddr, dma_addr, data, flags, value, mask, effect in zip(*rows.columns()):
         ctrl = ctrl_texts.get(value)
         if ctrl is None:
             bits = _dumps(decode_bits(value), "      ")
             ctrl = ctrl_texts[value] = f'"0x{value:04X}",\n      "ctrl_bits": {bits}'
-        if row.violations or row.actions:
-            actions, violations = _pair_text(row, pair_texts, _pair_json)
+        if mask:
+            actions, violations = _pair_text(mask, pair_texts, plan, _pair_json)
         else:
             actions = violations = "[]"  # a benign row has neither
-        ev = row.event
-        pc, daddr, dma_addr = ev.pc, ev.daddr, ev.dma_addr
         out.append(
             f"{sep}    {{\n"
             f'      "actions": {actions},\n'
             f'      "ctrl": {ctrl},\n'
-            f'      "cycle": {row.cycle},\n'
+            f'      "cycle": {cycle},\n'
             '      "event": {\n'
             f'        "daddr": "0x{_HEX_BYTE[daddr >> 8]}{_HEX_BYTE[daddr & 0xFF]}",\n'
-            f'        "data": "0x{_HEX_BYTE[row.data]}",\n'
-            f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}",\n'
-            f'        "dma_en": {"true" if ev.dma_en else "false"},\n'
-            f'        "irq": {"true" if ev.irq else "false"},\n'
-            f'        "pc": "0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}",\n'
-            f'        "ren": {"true" if ev.ren else "false"},\n'
-            f'        "wen": {"true" if ev.wen else "false"}\n'
-            "      },\n"
-            f'      "mem_effect": "{row.mem_effect}",\n'
-            f'      "violations": {violations}\n'
+            f'        "data": "0x{_HEX_BYTE[data]}",\n'
+            f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}'
+            f"{_MID_JSON[flags]}{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}"
+            f"{_TAIL_JSON[effect << 4 | flags]}{violations}\n"
             "    }"
         )
         sep = ",\n"
@@ -877,6 +1025,20 @@ def _pair_line(violations, actions) -> tuple[str, str]:
     )
 
 
+def _access_words(flags: int) -> str:
+    """The text form's words for a cycle's packed flags, after its pc and
+    before its target address (which follows when the words name an access)."""
+    words = " irq" if flags & IRQ else ""
+    if flags & DMA_EN:
+        words += " dma " + ("ren" if flags & REN else "wen" if flags & WEN else "idle")
+    elif flags & (REN | WEN):
+        words += " ren" if flags & REN else " wen"
+    return words
+
+
+_ACCESS_WORDS = tuple(_access_words(flags) for flags in range(16))
+
+
 # -- runner -------------------------------------------------------------
 
 
@@ -888,7 +1050,9 @@ def run(scenario: Scenario) -> RunReport:
     """
     state = build_device(scenario)
     boot = fsbl_boot(state)
-    report = RunReport(scenario_name=scenario.name, boot=boot)
+    report = RunReport(
+        scenario_name=scenario.name, boot=boot, rows=Rows(scenario.trace, scenario.binding)
+    )
 
     # The timeline of the module docstring, in half-cycle ticks: tick 2c ends
     # cycle c.  The stable sort puts a close before the answers timed with it
@@ -918,43 +1082,40 @@ def run(scenario: Scenario) -> RunReport:
     binding = scenario.binding
     ctrl = state.ctrl
     rows = report.rows
+    add_ctrl, add_mask = rows.ctrl_after.append, rows.mask.append
+    add_effect = rows.mem_effect.append
     pre_clear = 0
 
     # an unrecoverable boot halts the device before the trace
-    steps = () if boot.outcome is BootOutcome.UNRECOVERABLE else scenario.trace
-    for step_rec in steps:
-        label = step_rec.cycle
-        event = step_rec.event
+    columns = () if boot.outcome is BootOutcome.UNRECOVERABLE else scenario.trace.columns()
+    for label, pc, daddr, dma_addr, data, flags in zip(*columns):
         tick = 2 * label
         if next_at < tick:
             next_at = serve(tick)
 
-        mask = latch_event(state, event)
+        target = dma_addr if flags & DMA_EN else daddr
+        mask = latch_cycle(state, pc, target, flags)
         if mask:
-            violations = MASK_KINDS[mask]
-            actions = apply_prevention(state, violations, binding)
-        else:
-            violations = actions = ()
+            apply_prevention(state, MASK_KINDS[mask], binding)
         # bits are sticky and clear only at the cycle boundary, so the
         # register now holds every bit latched since the last clear
         ctrl_after = ctrl.value
         pre_clear |= ctrl_after
 
         mem_effect = "none"
-        if event.wen:
-            if state.cpu_halted and not event.dma_en:
+        if flags & WEN:
+            if state.cpu_halted and not flags & DMA_EN:
                 mem_effect = "suppressed"
             else:
-                target = event.dma_addr if event.dma_en else event.daddr
                 try:
                     # `._value_`: `.value` without the enum descriptor call
-                    mem_effect = apply_write(state, target, step_rec.data)._value_
+                    mem_effect = apply_write(state, target, data)._value_
                 except UnmappedAddressError:
                     mem_effect = "unmapped"
 
-        rows.append(
-            CycleRow(label, event, step_rec.data, violations, ctrl_after, actions, mem_effect)
-        )
+        add_ctrl(ctrl_after)
+        add_mask(mask)
+        add_effect(_EFFECT_CODES[mem_effect])
 
         if next_at <= tick:
             next_at = serve(tick + 1)

@@ -48,7 +48,7 @@ MUTANTS = [
     (
         "a halted CPU still writes",
         "src/rares_sim/scenario.py",
-        "if state.cpu_halted and not event.dma_en:",
+        "if state.cpu_halted and not flags & DMA_EN:",
         "if False:",
         [SCENARIO_TESTS + "test_reference_run_matches_run_on_generated_scenarios"],
     ),
@@ -62,9 +62,20 @@ MUTANTS = [
     (
         "a row's data byte is written off by one bit",
         "src/rares_sim/scenario.py",
-        "_HEX_BYTE[row.data]",
-        "_HEX_BYTE[row.data ^ 1]",
+        "_HEX_BYTE[data]",
+        "_HEX_BYTE[data ^ 1]",
         [SCENARIO_TESTS + "test_to_json_matches_stdlib_encoder_on_corpus"],
+    ),
+    (
+        "the parser packs ren and wen swapped",
+        "src/rares_sim/scenario.py",
+        "add_flags(irq | ren << 1 | wen << 2 | dma_en << 3)",
+        "add_flags(irq | wen << 1 | ren << 2 | dma_en << 3)",
+        [
+            "tests/test_trace_parsing.py::"
+            "test_fast_path_builds_the_reference_trace_from_clean_rows",
+            SCENARIO_TESTS + "test_benchmark_trace_reports_are_byte_identical",
+        ],
     ),
     (
         "a reboot's recovery event loses its second digest",

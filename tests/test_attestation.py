@@ -280,6 +280,14 @@ def test_report_codec_round_trip(exec_flag, er_min, er_max, tag):
     assert decode_report(encode_report(report)) == report
 
 
+@pytest.mark.parametrize("size", [31, 33])
+def test_report_tag_must_be_32_bytes(size):
+    with pytest.raises(ValueError, match=f"tag must be 32 bytes, got {size}"):
+        AttestReport(exec_flag=True, er_min=0, er_max=1, tag=bytes(range(size)))
+    report = AttestReport(exec_flag=True, er_min=0, er_max=1, tag=bytes(range(32)))
+    assert decode_report(encode_report(report)) == report
+
+
 def test_decode_rejects_wrong_type_or_length():
     good = encode_request(AttestRequest(nonce=NONCE, region_start=0, region_end=1))
     with pytest.raises(FrameError):

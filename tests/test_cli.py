@@ -65,6 +65,22 @@ def test_run_json_stdout_is_pure(capsys):
     assert err == ""
 
 
+def test_run_prints_cycle_labels_past_64_bits(capsys, tmp_path):
+    # labels are unbounded: a trace column of 64-bit integers would refuse these
+    path = tmp_path / "labels.rares.json"
+    path.write_text(json.dumps({"trace": [
+        {"cycle": 1, "pc": "0x4000"},
+        {"cycle": 2**63, "pc": "0x4001"},
+        {"cycle": 2**70, "pc": "0x4002", "wen": True, "daddr": "0x4100", "data": "0x5A"},
+    ]}))
+    code, out, err = invoke(capsys, "run", str(path), "--format", "json")
+    assert (code, err) == (ExitStatus.OK, "")
+    rows = json.loads(out)["rows"]
+    assert [row["cycle"] for row in rows] == [1, 2**63, 2**70]
+    assert rows[2]["mem_effect"] == "applied"
+    assert f'"cycle": {2**70},' in out
+
+
 def test_run_text_pre_clear_flag(capsys):
     path = str(SCENARIO_DIR / "dma_ram_write_swatt.rares.json")
     _, without, _ = invoke(capsys, "run", path)

@@ -21,6 +21,7 @@ from rares_sim.scenario import (
     ScenarioError,
     ScenarioSemanticError,
     ScenarioSyntaxError,
+    Trace,
     TraceStep,
     classify_trace_naive,
     parse_scenario,
@@ -46,7 +47,9 @@ def make_scenario(trace_events, **kwargs):
         binding=default_binding(),
         pox=None,
         attest_requests=[],
-        trace=[TraceStep(cycle=i + 1, event=ev) for i, ev in enumerate(trace_events)],
+        trace=Trace.from_steps(
+            TraceStep(cycle=i + 1, event=ev) for i, ev in enumerate(trace_events)
+        ),
     )
     base.update(kwargs)
     return Scenario(**base)
@@ -58,7 +61,7 @@ def make_scenario(trace_events, **kwargs):
 def test_minimal_scenario_parses():
     scenario = parse_scenario("{}")
     assert scenario.key == DEFAULT_KEY
-    assert scenario.trace == []
+    assert list(scenario.trace) == []
     assert scenario.region_contents[RegionKind.FLASH] == scenario.golden.image
 
 
@@ -238,7 +241,7 @@ def test_unrecoverable_run_halts_before_the_trace():
     path = scenario_paths()[0].parent / "unrecoverable.rares.json"
     report = run(parse_scenario_file(path))
     assert report.boot.outcome is BootOutcome.UNRECOVERABLE
-    assert report.rows == []
+    assert list(report.rows) == []
     assert report.exit_class == "unrecoverable"
 
 
@@ -390,7 +393,8 @@ def test_bus_writes_to_the_metadata_view_are_suppressed():
         (or, without wen, the same two cycles with no write)."""
         cpu = AccessEvent(pc=0x4000, wen=wen, daddr=0x0B00)
         dma = AccessEvent(pc=0x4000, wen=wen, dma_en=True, dma_addr=0x0B01)
-        return make_scenario([], trace=[TraceStep(1, cpu, 0xFF), TraceStep(2, dma, 0xFF)])
+        steps = [TraceStep(1, cpu, 0xFF), TraceStep(2, dma, 0xFF)]
+        return make_scenario([], trace=Trace.from_steps(steps))
 
     report = run(scenario(True))
     assert [row.mem_effect for row in report.rows] == ["suppressed", "suppressed"]
@@ -783,16 +787,75 @@ def test_rows_share_the_tuples_of_their_violation_mask():
     (AccessEvent(pc=0x4000, ren=True, daddr=0x4100), ()),  # app-RAM read
     (AccessEvent(pc=0x4000, ren=True, daddr=0x6A00), (V.CPU_ROM_RD,)),  # the CPU stays off
 ], ids=["benign", "violating"])
-def test_a_row_adds_one_tracked_object(event, violations):
-    # the CycleRow itself; its violations and actions are shared tuples
+def test_a_row_adds_no_tracked_object(event, violations):
+    # the rows are columns of integers; a CycleRow is built only when read
     scenario = make_scenario([event] * 5000)
     gc.collect()
     before = len(gc.get_objects())
     report = run(scenario)
     per_row = (len(gc.get_objects()) - before) / len(report.rows)
-    assert per_row <= 1.01, f"{per_row:.2f} tracked objects per row"
+    assert per_row <= 0.01, f"{per_row:.3f} tracked objects per row"
     assert len(report.rows) == 5000
     assert all(tuple(row.violations) == violations for row in report.rows)
+
+
+def trace_text(rows: int) -> str:
+    """A scenario of `rows` app-RAM reads, labelled 1, 2, ..."""
+    return json.dumps({"trace": [
+        {"cycle": i + 1, "pc": f"0x{0x4000 + i % 4096:04X}", "ren": True, "daddr": 0x4100 + i % 512}
+        for i in range(rows)
+    ]})
+
+
+def test_a_parsed_trace_row_leaves_no_tracked_object():
+    text = trace_text(5000)
+    gc.collect()
+    before = len(gc.get_objects())
+    scenario = parse_scenario(text)
+    gc.collect()
+    per_row = (len(gc.get_objects()) - before) / len(scenario.trace)
+    assert per_row <= 0.01, f"{per_row:.3f} tracked objects per row"
+    assert len(scenario.trace) == 5000
+
+
+def test_a_parsed_trace_keeps_few_bytes_per_cycle():
+    # about 45 B: a list slot and an int object for the label, three 16-bit
+    # words, the data byte and the flags byte, and the columns' spare room
+    def kept(text):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            scenario = parse_scenario(text)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], scenario
+        finally:
+            tracemalloc.stop()
+
+    empty, _ = kept(trace_text(0))
+    full, scenario = kept(trace_text(5000))
+    per_cycle = (full - empty) / len(scenario.trace)
+    assert per_cycle <= 64, f"{per_cycle:.1f} B per cycle"
+
+
+def test_trace_and_rows_read_as_sequences_of_steps_and_rows():
+    text = trace_text(3)
+    scenario = parse_scenario(text)
+    trace = scenario.trace
+    steps = list(trace)
+    assert [trace[i] for i in range(3)] == steps == trace[:]
+    assert trace[-1] == steps[2] and trace[-1:] == steps[2:] and trace[::2] == steps[::2]
+    assert steps[1] == TraceStep(2, AccessEvent(pc=0x4001, ren=True, daddr=0x4101))
+    assert all(type(flag) is bool for step in steps for flag in (
+        step.event.irq, step.event.ren, step.event.wen, step.event.dma_en))
+    assert list(Trace.from_steps(steps)) == steps
+    with pytest.raises(IndexError):
+        trace[3]
+    report = run(scenario)
+    rows = list(report.rows)
+    assert [report.rows[i] for i in range(-3, 0)] == rows == report.rows[:]
+    assert [(row.cycle, row.event, row.data) for row in rows] == [
+        (step.cycle, step.event, step.data) for step in steps
+    ]
 
 
 # sha256 of the two report forms on the benchmark traces at seed 7, recorded

@@ -16,6 +16,7 @@ from rares_sim.scenario import (
     ScenarioError,
     ScenarioSemanticError,
     ScenarioSyntaxError,
+    Trace,
     TraceStep,
     _parse_addr,
     _parse_byte,
@@ -59,7 +60,7 @@ def reference_trace(rows):
             raise ScenarioSemanticError(f"{where}: {exc}") from None
         data = _parse_byte(tobj.get("data", 0), f"{where}.data")
         trace.append(TraceStep(cycle=cycle, event=event, data=data))
-    return trace
+    return list(Trace.from_steps(trace))
 
 
 def outcome(parse, rows):
@@ -71,7 +72,7 @@ def outcome(parse, rows):
 
 
 def parse_trace(rows):
-    return parse_scenario(json.dumps({"trace": rows})).trace
+    return list(parse_scenario(json.dumps({"trace": rows})).trace)
 
 
 @st.composite
