@@ -237,18 +237,28 @@ IRQ, REN, WEN, DMA_EN = 1, 2, 4, 8
 
 def event_flags(event: AccessEvent) -> int:
     """`event`'s flags, packed as IRQ | REN | WEN | DMA_EN."""
-    return event.irq | event.ren << 1 | event.wen << 2 | event.dma_en << 3
+    return event.irq * IRQ | event.ren * REN | event.wen * WEN | event.dma_en * DMA_EN
 
 
-def event_mask(layout: MemoryLayout, event: AccessEvent) -> int:
-    """The detection bits an event matches: R1-R8 as one table lookup.
+def event_cycle(event: AccessEvent) -> tuple[int, int, int]:
+    """`event` as the detection core reads a cycle: its pc, its target
+    address (the DMA address when DMA is enabled) and its packed flags."""
+    return event.pc, event.dma_addr if event.dma_en else event.daddr, event_flags(event)
+
+
+def cycle_mask(layout: MemoryLayout, pc: int, target: int, flags: int) -> int:
+    """The detection bits a cycle matches: R1-R8 as one table lookup.
 
     Kind codes take 3 bits (seven kinds and the gap), so the index packs
     pc code, target code and the four flags into 10 bits.
     """
     index = layout.index
-    target = event.dma_addr if event.dma_en else event.daddr
-    return RULE_MASKS[index[event.pc] << 7 | index[target] << 4 | event_flags(event)]
+    return RULE_MASKS[index[pc] << 7 | index[target] << 4 | flags]
+
+
+def event_mask(layout: MemoryLayout, event: AccessEvent) -> int:
+    """`cycle_mask` for one event."""
+    return cycle_mask(layout, *event_cycle(event))
 
 
 def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
@@ -259,13 +269,11 @@ def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
 def latch_cycle(state: DeviceState, pc: int, target: int, flags: int) -> int:
     """Advance one machine clock cycle; return the matched mask.
 
-    The one detection path: `event_mask`'s lookup for a cycle given as its
-    pc, its target address and its packed flags.  Latches the matched bits
-    within the same cycle, bumps the cycle counter, and feeds the cycle to
-    the proof-of-execution observer.
+    The one detection path, for a cycle given as `cycle_mask` takes it.
+    Latches the matched bits within the same cycle, bumps the cycle counter,
+    and feeds the cycle to the proof-of-execution observer.
     """
-    index = state.layout.index
-    mask = RULE_MASKS[index[pc] << 7 | index[target] << 4 | flags]
+    mask = cycle_mask(state.layout, pc, target, flags)
     if mask:
         state.ctrl.latch(mask)
     state.cycle += 1
@@ -275,8 +283,7 @@ def latch_cycle(state: DeviceState, pc: int, target: int, flags: int) -> int:
 
 def latch_event(state: DeviceState, event: AccessEvent) -> int:
     """`latch_cycle` for one event."""
-    target = event.dma_addr if event.dma_en else event.daddr
-    return latch_cycle(state, event.pc, target, event_flags(event))
+    return latch_cycle(state, *event_cycle(event))
 
 
 def step(state: DeviceState, event: AccessEvent) -> set[ViolationKind]:

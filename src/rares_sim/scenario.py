@@ -164,25 +164,27 @@ _FLAG_BOOLS = tuple(
 )
 
 
-def _step(cycle: int, pc: int, daddr: int, dma_addr: int, data: int, flags: int) -> TraceStep:
-    """One cycle of a `Trace` as a TraceStep, built through the slot setters:
-    the columns hold values the parser or `AccessEvent` has checked."""
+def _steps(columns):
+    """The TraceSteps of a `Trace`'s columns (or of slices of them), built
+    through the slot setters: the columns hold values the parser or
+    `AccessEvent` has checked."""
     set_pc, set_irq, set_ren, set_wen, set_daddr, set_dma_en, set_dma_addr = _SET_EVENT
     set_cycle, set_event, set_data = _SET_STEP
-    irq, ren, wen, dma_en = _FLAG_BOOLS[flags]
-    event = object.__new__(AccessEvent)
-    set_pc(event, pc)
-    set_irq(event, irq)
-    set_ren(event, ren)
-    set_wen(event, wen)
-    set_daddr(event, daddr)
-    set_dma_en(event, dma_en)
-    set_dma_addr(event, dma_addr)
-    step = object.__new__(TraceStep)
-    set_cycle(step, cycle)
-    set_event(step, event)
-    set_data(step, data)
-    return step
+    for cycle, pc, daddr, dma_addr, data, flags in zip(*columns):
+        irq, ren, wen, dma_en = _FLAG_BOOLS[flags]
+        event = object.__new__(AccessEvent)
+        set_pc(event, pc)
+        set_irq(event, irq)
+        set_ren(event, ren)
+        set_wen(event, wen)
+        set_daddr(event, daddr)
+        set_dma_en(event, dma_en)
+        set_dma_addr(event, dma_addr)
+        step = object.__new__(TraceStep)
+        set_cycle(step, cycle)
+        set_event(step, event)
+        set_data(step, data)
+        yield step
 
 
 class _Columns(Sequence):
@@ -232,17 +234,17 @@ class Trace(_Columns):
         self.flags.append(event_flags(event))
 
     def columns(self) -> tuple:
-        """The columns, in `_step`'s argument order."""
+        """The columns, in the order `_steps` reads them."""
         return self.cycle, self.pc, self.daddr, self.dma_addr, self.data, self.flags
 
     def __len__(self) -> int:
         return len(self.cycle)
 
     def _item(self, i: int) -> TraceStep:
-        return _step(*[column[i] for column in self.columns()])
+        return next(_steps([column[i:i + 1] for column in self.columns()]))
 
     def __iter__(self):
-        return map(_step, *self.columns())
+        return _steps(self.columns())
 
 
 @dataclass(frozen=True)
@@ -358,9 +360,14 @@ _TRACE_DEFAULTS = {
 }
 
 
+# The layout of every scenario that names none; nothing changes a
+# MemoryLayout after it is built, so parses share this one.
+_DEFAULT_LAYOUT = build_layout()
+
+
 def _parse_layout(obj) -> MemoryLayout:
     if obj is None:
-        return build_layout()
+        return _DEFAULT_LAYOUT
     if not isinstance(obj, dict):
         raise ScenarioSemanticError("layout: expected an object of region bounds")
     bounds = {kind: (start, end) for kind, start, end in DEFAULT_REGIONS}
@@ -627,7 +634,7 @@ def _parse_trace(raw_trace: list) -> Trace:
                     add_daddr(daddr)
                     add_dma_addr(dma_addr)
                     add_data(data)
-                    add_flags(irq | ren << 1 | wen << 2 | dma_en << 3)  # as `event_flags` packs
+                    add_flags(irq * IRQ | ren * REN | wen * WEN | dma_en * DMA_EN)
                     last_cycle = cycle
                     continue
         # every row before this one is in the columns, so their length is its index
@@ -800,17 +807,22 @@ class RunReport:
         plan = self.rows.binding.plan
         pair_texts: dict[int, tuple[str, str]] = {}
         for cycle, pc, daddr, dma_addr, _, flags, ctrl, mask, effect in zip(*self.rows.columns()):
-            access = _ACCESS_WORDS[flags]
-            if flags & (DMA_EN | REN | WEN):
-                target = dma_addr if flags & DMA_EN else daddr
-                access = f"{access} 0x{_HEX_BYTE[target >> 8]}{_HEX_BYTE[target & 0xFF]}"
+            parts = [f"pc=0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}"]
+            if flags & IRQ:
+                parts.append("irq")
+            if flags & DMA_EN:
+                op = "ren" if flags & REN else ("wen" if flags & WEN else "idle")
+                parts.append(f"dma {op} 0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}")
+            elif flags & (REN | WEN):
+                op = "ren" if flags & REN else "wen"
+                parts.append(f"{op} 0x{_HEX_BYTE[daddr >> 8]}{_HEX_BYTE[daddr & 0xFF]}")
             if mask:
                 viol, acts = _pair_text(mask, pair_texts, plan, _pair_line)
             else:
                 viol = acts = "-"
             lines.append(
-                f"cycle {cycle:>4}: pc=0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}{access} | "
-                f"{viol} | ctrl=0x{_HEX_BYTE[ctrl >> 8]}{_HEX_BYTE[ctrl & 0xFF]} | {acts} | "
+                f"cycle {cycle:>4}: {' '.join(parts)} | {viol} | "
+                f"ctrl=0x{_HEX_BYTE[ctrl >> 8]}{_HEX_BYTE[ctrl & 0xFF]} | {acts} | "
                 f"mem={MEM_EFFECTS[effect]}"
             )
             ev = boundary.get(cycle)
@@ -902,29 +914,6 @@ def _pair_json(violations, actions) -> tuple[str, str]:
     return _dumps(records, "      "), _dumps([v.name for v in violations], "      ")
 
 
-def _json_bool(value: int) -> str:
-    return "true" if value else "false"
-
-
-# A row's event text between the dma_addr and pc words, per packed flags
-# value, and from the pc word to its "violations" value, per memory effect
-# code and flags: the text that depends on nothing else is written as one.
-_MID_JSON = tuple(
-    f'",\n        "dma_en": {_json_bool(flags & DMA_EN)},\n'
-    f'        "irq": {_json_bool(flags & IRQ)},\n'
-    '        "pc": "0x'
-    for flags in range(16)
-)
-_TAIL_JSON = tuple(
-    f'",\n        "ren": {_json_bool(flags & REN)},\n'
-    f'        "wen": {_json_bool(flags & WEN)}\n'
-    "      },\n"
-    f'      "mem_effect": "{effect}",\n'
-    '      "violations": '
-    for effect in MEM_EFFECTS for flags in range(16)
-)
-
-
 def _rows_json(rows: Rows, out: list[str]) -> None:
     """Append the "rows" list to `out`, indented as the value of a top-level
     key: each row in the layout `json.dumps(sort_keys=True, indent=2)` gives
@@ -960,9 +949,15 @@ def _rows_json(rows: Rows, out: list[str]) -> None:
             '      "event": {\n'
             f'        "daddr": "0x{_HEX_BYTE[daddr >> 8]}{_HEX_BYTE[daddr & 0xFF]}",\n'
             f'        "data": "0x{_HEX_BYTE[data]}",\n'
-            f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}'
-            f"{_MID_JSON[flags]}{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}"
-            f"{_TAIL_JSON[effect << 4 | flags]}{violations}\n"
+            f'        "dma_addr": "0x{_HEX_BYTE[dma_addr >> 8]}{_HEX_BYTE[dma_addr & 0xFF]}",\n'
+            f'        "dma_en": {"true" if flags & DMA_EN else "false"},\n'
+            f'        "irq": {"true" if flags & IRQ else "false"},\n'
+            f'        "pc": "0x{_HEX_BYTE[pc >> 8]}{_HEX_BYTE[pc & 0xFF]}",\n'
+            f'        "ren": {"true" if flags & REN else "false"},\n'
+            f'        "wen": {"true" if flags & WEN else "false"}\n'
+            "      },\n"
+            f'      "mem_effect": "{MEM_EFFECTS[effect]}",\n'
+            f'      "violations": {violations}\n'
             "    }"
         )
         sep = ",\n"
@@ -1023,20 +1018,6 @@ def _pair_line(violations, actions) -> tuple[str, str]:
             f"{rec.action.label()}{'' if rec.applied else '(subsumed)'}" for rec in actions
         ) or "-",
     )
-
-
-def _access_words(flags: int) -> str:
-    """The text form's words for a cycle's packed flags, after its pc and
-    before its target address (which follows when the words name an access)."""
-    words = " irq" if flags & IRQ else ""
-    if flags & DMA_EN:
-        words += " dma " + ("ren" if flags & REN else "wen" if flags & WEN else "idle")
-    elif flags & (REN | WEN):
-        words += " ren" if flags & REN else " wen"
-    return words
-
-
-_ACCESS_WORDS = tuple(_access_words(flags) for flags in range(16))
 
 
 # -- runner -------------------------------------------------------------

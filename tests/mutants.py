@@ -69,8 +69,8 @@ MUTANTS = [
     (
         "the parser packs ren and wen swapped",
         "src/rares_sim/scenario.py",
-        "add_flags(irq | ren << 1 | wen << 2 | dma_en << 3)",
-        "add_flags(irq | wen << 1 | ren << 2 | dma_en << 3)",
+        "add_flags(irq * IRQ | ren * REN | wen * WEN | dma_en * DMA_EN)",
+        "add_flags(irq * IRQ | ren * WEN | wen * REN | dma_en * DMA_EN)",
         [
             "tests/test_trace_parsing.py::"
             "test_fast_path_builds_the_reference_trace_from_clean_rows",

@@ -16,7 +16,6 @@ from rares_sim.scenario import (
     ScenarioError,
     ScenarioSemanticError,
     ScenarioSyntaxError,
-    Trace,
     TraceStep,
     _parse_addr,
     _parse_byte,
@@ -60,7 +59,7 @@ def reference_trace(rows):
             raise ScenarioSemanticError(f"{where}: {exc}") from None
         data = _parse_byte(tobj.get("data", 0), f"{where}.data")
         trace.append(TraceStep(cycle=cycle, event=event, data=data))
-    return list(Trace.from_steps(trace))
+    return trace
 
 
 def outcome(parse, rows):
