@@ -98,12 +98,39 @@ def _boot_fresh(scenario: Scenario) -> tuple[DeviceState, "BootReport"]:
     return state, fsbl_boot(state)
 
 
+class _StdoutChunks:
+    """Joins a report writer's pieces and writes them to stdout about 64 KiB
+    at a time.  Written one by one, a report's rows reached a pipe in
+    stdout's 8 KiB flushes, one reader wake-up each, which made `run` on a
+    5*10^4-cycle trace about a third slower through a pipe than one
+    whole-report write."""
+
+    SIZE = 1 << 16
+
+    def __init__(self):
+        self.pieces: list[str] = []
+        self.size = 0
+
+    def write(self, piece: str) -> None:
+        self.pieces.append(piece)
+        self.size += len(piece)
+        if self.size >= self.SIZE:
+            self.flush()
+
+    def flush(self) -> None:
+        sys.stdout.write("".join(self.pieces))
+        self.pieces.clear()
+        self.size = 0
+
+
 def cmd_run(args) -> int:
     report = run(_load(args.scenario))
+    out = _StdoutChunks()
     if args.format == "json":
-        sys.stdout.write(report.to_json())
+        report.write_json(out.write)
     else:
-        sys.stdout.write(report.to_text(show_pre_clear=args.snapshot_pre_clear))
+        report.write_text(out.write, show_pre_clear=args.snapshot_pre_clear)
+    out.flush()
     return _EXIT_BY_CLASS[report.exit_class]
 
 

@@ -32,16 +32,23 @@ Top-level keys (all optional except none):
 
 Bad input raises a ScenarioError with a located message: JSON errors give
 line and column (or say the nesting or an integer is too large), every
-other error names its field.  The trace rows are validated in one loop
-(`_parse_trace`); a row it does not accept re-enters the per-field helpers
-(`_parse_step`), which own each message, so both paths accept the same rows
-and say the same thing.
+other error names its field.  One row reader (`_row_reader`) checks trace
+rows.  The decoder hands it each object as it is decoded, so a row goes
+into the columns and its dict is dropped at once (`_decode_with_columns`).
+When that does not yield the whole trace (a row it refuses, or a row-shaped
+object outside the trace), the text is decoded again and the rows go
+through the same reader in one loop (`_parse_trace`); a row it refuses
+re-enters the per-field helpers (`_parse_step`), which own each message, so
+both paths accept the same rows and say the same thing.
 
 The parsed trace is a `Trace`: one column per field (cycle labels in a list,
 so they stay unbounded; addresses in 16-bit arrays; data and the packed
 flags in byte arrays), read as a sequence of `TraceStep`s built on demand.
 A run's rows are columns too (`Rows`), indexing into that trace; the report
-writers read the columns, and `rows[i]` builds a `CycleRow`.
+writers read the columns, and `rows[i]` builds a `CycleRow`.  Each writer
+(`write_json`, `write_text`) hands its text to a `write` callable in pieces
+of at most one row; `to_json` and `to_text` join the pieces, and the CLI
+writes them to stdout in chunks.
 
 Unknown keys are rejected at every level: at the top, in trace rows, in
 the golden, pox and attest objects and in binding entries; only
@@ -433,7 +440,9 @@ def parse_scenario(text: str) -> Scenario:
     """Parse and validate scenario text; raises ScenarioSyntaxError /
     ScenarioSemanticError with a field location on bad input."""
     try:
-        obj = json.loads(text)
+        obj = _decode_with_columns(text)
+        if obj is None:
+            obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ScenarioSyntaxError(f"line {exc.lineno} col {exc.colno}: {exc.msg}") from None
     except RecursionError:
@@ -543,10 +552,11 @@ def parse_scenario(text: str) -> Scenario:
             )
         )
 
-    raw_trace = obj.get("trace", [])
-    if not isinstance(raw_trace, list):
-        raise ScenarioSemanticError("trace: expected an array")
-    trace = _parse_trace(raw_trace)
+    trace = obj.get("trace", [])
+    if not isinstance(trace, Trace):
+        if not isinstance(trace, list):
+            raise ScenarioSemanticError("trace: expected an array")
+        trace = _parse_trace(trace)
 
     return Scenario(
         name=name,
@@ -584,63 +594,115 @@ def _parse_step(tobj, where: str, last_cycle: int) -> TraceStep:
     return TraceStep(cycle=cycle, event=event, data=data)
 
 
-def _parse_trace(raw_trace: list) -> Trace:
-    """The trace rows, validated in one loop.
+# What the row reader returns for a row it has put into the columns.
+_ROW = object()
+
+
+def _row_reader(trace: Trace):
+    """The fast path of the trace parser, the one place that checks a row:
+    a function that takes a decoded object and, when it is a trace row
+    labelled after `trace`'s last cycle, appends it to `trace`'s columns and
+    returns `_ROW`; any other object it returns unchanged.  It never raises.
 
     A row is merged over `_TRACE_DEFAULTS`; the merge keeps nine keys, in
     field order, exactly when the row names no unknown key.  A row whose
     values are then of exact JSON types, in range, not both ren and wen, and
     whose cycle increases goes straight into the columns, without the
-    `AccessEvent.__post_init__` checks this loop has just made.  Every other
-    row goes through `_parse_step`, so the per-field helpers decide what is
-    accepted and say what is wrong, as they do for the rest of the scenario.
+    `AccessEvent.__post_init__` checks made here.
     """
-    trace = Trace()
     add_cycle, add_pc, add_daddr = trace.cycle.append, trace.pc.append, trace.daddr.append
     add_dma_addr, add_data, add_flags = (
         trace.dma_addr.append, trace.data.append, trace.flags.append
     )
     defaults = _TRACE_DEFAULTS
     nkeys = len(defaults)
-    last_cycle = 0
+    last_cycle = trace.cycle[-1] if trace else 0
+
+    def read_row(obj: dict):
+        nonlocal last_cycle
+        if "cycle" not in obj:
+            return obj
+        row = defaults | obj
+        if len(row) != nkeys:
+            return obj
+        cycle, pc, irq, ren, wen, daddr, dma_en, dma_addr, data = row.values()
+        try:
+            if type(pc) is str:
+                pc = int(pc, 0)
+            if type(daddr) is str:
+                daddr = int(daddr, 0)
+            if type(dma_addr) is str:
+                dma_addr = int(dma_addr, 0)
+            if type(data) is str:
+                data = int(data, 0)
+        except ValueError:
+            return obj
+        if (
+            type(cycle) is int and cycle > last_cycle
+            and type(pc) is int and 0 <= pc <= 0xFFFF
+            and type(daddr) is int and 0 <= daddr <= 0xFFFF
+            and type(dma_addr) is int and 0 <= dma_addr <= 0xFFFF
+            and type(data) is int and 0 <= data <= 0xFF
+            and type(irq) is bool and type(ren) is bool
+            and type(wen) is bool and type(dma_en) is bool
+            and not (ren and wen)
+        ):
+            add_cycle(cycle)
+            add_pc(pc)
+            add_daddr(daddr)
+            add_dma_addr(dma_addr)
+            add_data(data)
+            add_flags(irq * IRQ | ren * REN | wen * WEN | dma_en * DMA_EN)
+            last_cycle = cycle
+            return _ROW
+        return obj
+
+    return read_row
+
+
+def _decode_with_columns(text: str) -> dict | None:
+    """The JSON document `text` with its trace rows read into columns as they
+    decode, so that no row's dict outlives its decoding; None when the
+    columns are not the whole trace.
+
+    The row reader sees each object, not where it sits.  So the columns are
+    the trace only when the top level is an object whose "trace" (an empty
+    one when absent) is a list of exactly as many `_ROW`s as the reader
+    took; then "trace" holds that `Trace`.  Otherwise a row was refused, or
+    a row-shaped object sits outside the trace (say ``"pox": {"cycle": 1}``,
+    a row inside a row, or a second "trace" key), and the caller decodes the
+    text again without the reader, for `_parse_trace` and the section
+    parsers to read as they always have.  A JSON error is raised as plain
+    decoding raises it.
+    """
+    trace = Trace()
+    try:
+        obj = json.loads(text, object_hook=_row_reader(trace))
+    except RecursionError:  # the reader's frame takes a document at the limit past it
+        return None
+    if type(obj) is dict:
+        rows = obj.get("trace", [])
+        if type(rows) is list and len(rows) == len(trace) == rows.count(_ROW):
+            obj["trace"] = trace
+            return obj
+    return None
+
+
+def _parse_trace(raw_trace: list) -> Trace:
+    """The rows of a trace that did not go into columns as it decoded
+    (`_decode_with_columns`), in one loop: each row through the row reader,
+    and a row it refuses through `_parse_step`, so the per-field helpers
+    decide what is accepted and say what is wrong, as they do for the rest
+    of the scenario.
+    """
+    trace = Trace()
+    read_row = _row_reader(trace)
     for tobj in raw_trace:
-        if type(tobj) is dict:
-            row = defaults | tobj
-            if len(row) == nkeys:
-                cycle, pc, irq, ren, wen, daddr, dma_en, dma_addr, data = row.values()
-                try:
-                    if type(pc) is str:
-                        pc = int(pc, 0)
-                    if type(daddr) is str:
-                        daddr = int(daddr, 0)
-                    if type(dma_addr) is str:
-                        dma_addr = int(dma_addr, 0)
-                    if type(data) is str:
-                        data = int(data, 0)
-                except ValueError:
-                    pass  # the bad value is still a string, so the row takes the helpers' path
-                if (
-                    type(cycle) is int and cycle > last_cycle
-                    and type(pc) is int and 0 <= pc <= 0xFFFF
-                    and type(daddr) is int and 0 <= daddr <= 0xFFFF
-                    and type(dma_addr) is int and 0 <= dma_addr <= 0xFFFF
-                    and type(data) is int and 0 <= data <= 0xFF
-                    and type(irq) is bool and type(ren) is bool
-                    and type(wen) is bool and type(dma_en) is bool
-                    and not (ren and wen)
-                ):
-                    add_cycle(cycle)
-                    add_pc(pc)
-                    add_daddr(daddr)
-                    add_dma_addr(dma_addr)
-                    add_data(data)
-                    add_flags(irq * IRQ | ren * REN | wen * WEN | dma_en * DMA_EN)
-                    last_cycle = cycle
-                    continue
+        if type(tobj) is dict and read_row(tobj) is _ROW:
+            continue
         # every row before this one is in the columns, so their length is its index
-        step = _parse_step(tobj, f"trace[{len(trace)}]", last_cycle)
-        trace._add(step)
-        last_cycle = step.cycle
+        trace._add(_parse_step(tobj, f"trace[{len(trace)}]", trace.cycle[-1] if trace else 0))
+        read_row = _row_reader(trace)  # it goes on after the row just added
     return trace
 
 
@@ -762,15 +824,23 @@ class RunReport:
         return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        """Machine form; byte-identical across repeated runs.
+        """Machine form; byte-identical across repeated runs: the text
+        `write_json` writes, joined once."""
+        out: list[str] = []
+        self.write_json(out.append)
+        return "".join(out)
+
+    def write_json(self, write) -> None:
+        """Write the machine form through `write`, in pieces.
 
         The document is written as ``json.dumps(doc, sort_keys=True,
         indent=2) + "\\n"`` would write it: the rows straight from their
         columns and the recovery events from their objects, by the
         hand-written templates of `_rows_json` and `_events_json`, every
-        other section by `_dumps`.  Every fragment goes into one list that is
-        joined once, so the text is built without intermediate copies of the
-        rows.  This is the report's one schema: `to_dict` parses it back.
+        other section by `_dumps`.  No piece holds more than one row or one
+        section outside the rows, so a caller that writes each piece out
+        never holds the report.  This is the report's one schema: `to_dict`
+        parses it back.
         """
         fields = {
             "scenario": self.scenario_name,
@@ -788,21 +858,29 @@ class RunReport:
             "final_digests": self.final_digests,
             "exit": self.exit_class,
         }
-        out = ["{\n"]
+        sep = "{\n"
         for key in sorted([*fields, "rows", "recovery_events"]):
-            out.append(f'  "{key}": ')
+            write(f'{sep}  "{key}": ')
             if key == "rows":
-                _rows_json(self.rows, out)
+                _rows_json(self.rows, write)
             elif key == "recovery_events":
-                _events_json(self.recovery_events, out)
+                _events_json(self.recovery_events, write)
             else:
-                out.append(_dumps(fields[key], "  "))
-            out.append(",\n")
-        out[-1] = "\n}\n"
-        return "".join(out)
+                write(_dumps(fields[key], "  "))
+            sep = ",\n"
+        write("\n}\n")
 
     def to_text(self, show_pre_clear: bool = False) -> str:
-        lines = [f"scenario: {self.scenario_name}", *_boot_lines(self.boot)]
+        """Human form: the text `write_text` writes, joined once."""
+        out: list[str] = []
+        self.write_text(out.append, show_pre_clear)
+        return "".join(out)
+
+    def write_text(self, write, show_pre_clear: bool = False) -> None:
+        """Write the human form through `write`, one line per piece."""
+        write(f"scenario: {self.scenario_name}\n")
+        for line in _boot_lines(self.boot):
+            write(line + "\n")
         boundary = {ev.after_cycle: ev for ev in self.recovery_events}
         plan = self.rows.binding.plan
         pair_texts: dict[int, tuple[str, str]] = {}
@@ -820,33 +898,32 @@ class RunReport:
                 viol, acts = _pair_text(mask, pair_texts, plan, _pair_line)
             else:
                 viol = acts = "-"
-            lines.append(
+            write(
                 f"cycle {cycle:>4}: {' '.join(parts)} | {viol} | "
                 f"ctrl=0x{_HEX_BYTE[ctrl >> 8]}{_HEX_BYTE[ctrl & 0xFF]} | {acts} | "
-                f"mem={MEM_EFFECTS[effect]}"
+                f"mem={MEM_EFFECTS[effect]}\n"
             )
             ev = boundary.get(cycle)
             if ev is not None:
                 tail = f" -> boot {ev.boot.outcome.value}" if ev.boot else ""
-                lines.append(f"  [boundary {cycle}] {ev.kind}{tail}")
+                write(f"  [boundary {cycle}] {ev.kind}{tail}\n")
         for ans in self.attest_answers:
             r = ans.report
-            lines.append(
+            write(
                 f"attest @ cycle {ans.cycle}: exec_flag={str(r.exec_flag).lower()} "
-                f"er=0x{r.er_min:04X}-0x{r.er_max:04X} tag={r.tag.hex()}"
+                f"er=0x{r.er_min:04X}-0x{r.er_max:04X} tag={r.tag.hex()}\n"
             )
         if show_pre_clear:
-            lines.append(
+            write(
                 f"pre-clear ctrl: 0x{self.pre_clear_ctrl:04X} "
-                f"{' '.join(decode_bits(self.pre_clear_ctrl)) or '-'}"
+                f"{' '.join(decode_bits(self.pre_clear_ctrl)) or '-'}\n"
             )
-        lines.append(
+        write(
             f"final ctrl: 0x{self.final_ctrl:04X} "
-            f"{' '.join(decode_bits(self.final_ctrl)) or '-'}"
+            f"{' '.join(decode_bits(self.final_ctrl)) or '-'}\n"
         )
-        lines.append(f"final r2: 0x{self.final_r2:04X} mode={self.final_mode}")
-        lines.append(f"exit: {self.exit_class}")
-        return "\n".join(lines) + "\n"
+        write(f"final r2: 0x{self.final_r2:04X} mode={self.final_mode}\n")
+        write(f"exit: {self.exit_class}\n")
 
 
 def _boot_to_dict(boot: BootReport) -> dict:
@@ -914,10 +991,11 @@ def _pair_json(violations, actions) -> tuple[str, str]:
     return _dumps(records, "      "), _dumps([v.name for v in violations], "      ")
 
 
-def _rows_json(rows: Rows, out: list[str]) -> None:
-    """Append the "rows" list to `out`, indented as the value of a top-level
-    key: each row in the layout `json.dumps(sort_keys=True, indent=2)` gives
-    an object, keys sorted, each nesting level two spaces deeper.
+def _rows_json(rows: Rows, write) -> None:
+    """Write the "rows" list through `write`, one piece per row, indented as
+    the value of a top-level key: each row in the layout
+    `json.dumps(sort_keys=True, indent=2)` gives an object, keys sorted, each
+    nesting level two spaces deeper.
 
     Every value is a number, a boolean or a string from a fixed ASCII
     vocabulary (hex words, enum names, action labels, write outcomes), so
@@ -926,7 +1004,7 @@ def _rows_json(rows: Rows, out: list[str]) -> None:
     values once per violation mask by `_pair_json`.
     """
     if not rows:
-        out.append("[]")
+        write("[]")
         return
     plan = rows.binding.plan
     ctrl_texts: dict[int, str] = {}
@@ -941,7 +1019,7 @@ def _rows_json(rows: Rows, out: list[str]) -> None:
             actions, violations = _pair_text(mask, pair_texts, plan, _pair_json)
         else:
             actions = violations = "[]"  # a benign row has neither
-        out.append(
+        write(
             f"{sep}    {{\n"
             f'      "actions": {actions},\n'
             f'      "ctrl": {ctrl},\n'
@@ -961,11 +1039,11 @@ def _rows_json(rows: Rows, out: list[str]) -> None:
             "    }"
         )
         sep = ",\n"
-    out.append("\n  ]")
+    write("\n  ]")
 
 
-def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
-    """Append the "recovery_events" list to `out`, in the layout of
+def _events_json(events: list[RecoveryEvent], write) -> None:
+    """Write the "recovery_events" list through `write`, in the layout of
     `_rows_json`: each event's "after_cycle", "kind" and "boot", which is
     null for a reflash and the reboot's report after a reset.  A reset's
     "boot" object is hand-written too, since it is written once per event.
@@ -974,7 +1052,7 @@ def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
     hex, so nothing needs escaping.
     """
     if not events:
-        out.append("[]")
+        write("[]")
         return
     sep = "[\n"
     for ev in events:
@@ -999,7 +1077,7 @@ def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
                 f'        "outcome": "{boot.outcome.value}"\n'
                 "      }"
             )
-        out.append(
+        write(
             f"{sep}    {{\n"
             f'      "after_cycle": {ev.after_cycle},\n'
             f'      "boot": {boot_text},\n'
@@ -1007,7 +1085,7 @@ def _events_json(events: list[RecoveryEvent], out: list[str]) -> None:
             "    }"
         )
         sep = ",\n"
-    out.append("\n  ]")
+    write("\n  ]")
 
 
 def _pair_line(violations, actions) -> tuple[str, str]:

@@ -78,6 +78,16 @@ MUTANTS = [
         ],
     ),
     (
+        "the decoded columns are the trace without the post-decode check",
+        "src/rares_sim/scenario.py",
+        "if type(rows) is list and len(rows) == len(trace) == rows.count(_ROW):",
+        "if type(rows) is list:",
+        [
+            SCENARIO_TESTS + "test_rows_that_a_repeated_key_drops_are_not_trace_rows",
+            SCENARIO_TESTS + "test_semantic_errors",
+        ],
+    ),
+    (
         "a reboot's recovery event loses its second digest",
         "src/rares_sim/scenario.py",
         '"          }"\n                    for computed, reference in boot.digests\n',

@@ -1,15 +1,20 @@
 """Exit-code contract, output purity, and the attest round trip."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import ROOT, SCENARIO_DIR, scenario_paths
+from conftest import ROOT, SCENARIO_DIR, bench_scenario_text, scenario_paths
+from rares_sim import cli
 from rares_sim.cli import ExitStatus, main
+from rares_sim.scenario import parse_scenario_file, run
 
 NONCE_HEX = "ab" * 32
 
@@ -378,3 +383,59 @@ def test_run_output_does_not_depend_on_the_hash_seed(tmp_path):
     assert [len(row["violations"]) for row in rows] == [2, 2, 2]
     for hash_seed in "123":
         assert run_all([two_kinds], hash_seed) == two
+
+
+class CountingSink:
+    """A stdout that keeps only the size and the sha256 of what is written."""
+
+    def __init__(self):
+        self.size = 0
+        self.digest = hashlib.sha256()
+
+    def write(self, text):
+        data = text.encode()
+        self.size += len(data)
+        self.digest.update(data)
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_run_writes_the_report_as_it_makes_it(monkeypatch, tmp_path, fmt):
+    path = tmp_path / "long.rares.json"
+    path.write_text(bench_scenario_text("long_trace", 7))
+    report = run(parse_scenario_file(path))
+    assert len(report.rows) >= 20_000
+    expected = (report.to_json() if fmt == "json" else report.to_text()).encode()
+    del report
+
+    # what the command holds when the run starts (the parsed scenario), and
+    # its peak until then (reading and parsing the scenario)
+    at_run = []
+
+    def marked_run(scenario):
+        at_run.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+        return run(scenario)
+
+    monkeypatch.setattr(cli, "run", marked_run)
+    sink = CountingSink()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        with redirect_stdout(sink):
+            code = main(["run", str(path), "--format", fmt])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    [(held, read_peak)] = at_run
+
+    assert code == ExitStatus.VIOLATIONS
+    assert sink.size == len(expected)
+    assert sink.digest.hexdigest() == hashlib.sha256(expected).hexdigest()
+    # running and writing hold no whole report: each chunk is written as it is made
+    assert peak - held <= sink.size / 2, f"the run and writer peak {peak - held} B above it"
+    if fmt == "json":
+        # the JSON report is over four times the scenario text, so the whole
+        # command, reading and parsing the scenario included, stays under half
+        # of it too
+        assert max(read_peak, peak) <= sink.size / 2

@@ -116,11 +116,40 @@ def test_bad_json_reports_position():
         ('{"binding": {"IRQ_RAM": {"action": "hard_cpu_off", "mask": "0x00F0"}}}',
          r"binding\.IRQ_RAM\.mask: only soft_mode_switch takes a mask"),
         ('{"name": "ok \\ud800"}', r"name: not UTF-8 text: lone surrogate at character 3"),
+        # row-shaped objects outside the trace, which the decoder's row reader
+        # also takes, keep the messages of the section they are in
+        ('{"cycle": 1}', r"^unknown top-level keys: cycle$"),
+        ('{"pox": {"cycle": 1}}', r"^pox: unknown fields cycle$"),
+        ('{"attest": [{"cycle": 1}]}', r"^attest\[0\]\.nonce: must be 32 bytes$"),
+        ('{"golden": {"cycle": 1}}', r"^golden: unknown fields cycle$"),
+        ('{"binding": {"IRQ_RAM": {"cycle": 1}}}', r"^binding\.IRQ_RAM: unknown fields cycle$"),
+        ('{"trace": {"cycle": 1}}', r"^trace: expected an array$"),
+        ('{"trace": [[{"cycle": 1}]]}', r"^trace\[0\]: expected an object$"),
+        ('{"trace": [{"cycle": 1, "pc": {"cycle": 2}}]}',
+         r"^trace\[0\]\.pc: bad address \{'cycle': 2\}$"),
+        ('{"pox": {"cycle": 1}, "trace": [{"cycle": 2, "pc": "0x4000"}]}',
+         r"^pox: unknown fields cycle$"),
     ],
 )
 def test_semantic_errors(text, match):
     with pytest.raises(ScenarioSemanticError, match=match):
         parse_scenario(text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        *('{"trace": ' + first + ', "trace": [{"cycle": 2, "pc": 16384}, {"cycle": 3}]}'
+          for first in ('[{"cycle": 5}]', "[]", '{"cycle": 1}', "7")),
+        # the inner object decodes first and is row-shaped; the repeated "pc" drops it
+        '{"trace": [{"cycle": 2, "pc": {"cycle": 1}, "pc": 16384}, {"cycle": 3}]}',
+    ],
+)
+def test_rows_that_a_repeated_key_drops_are_not_trace_rows(text):
+    # json.loads keeps the last value of a repeated key; the rows of an earlier
+    # one never reach the trace, nor move its cycle order
+    trace = parse_scenario(text).trace
+    assert [(step.cycle, step.event.pc) for step in trace] == [(2, 0x4000), (3, 0)]
 
 
 TOP_KEYS = ["name", "layout", "key", "golden", "regions", "binding", "pox", "attest", "trace"]

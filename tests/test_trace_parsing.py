@@ -4,8 +4,10 @@ used to escape as tracebacks."""
 
 import copy
 import dataclasses
+import gc
 import json
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -205,6 +207,32 @@ def test_fast_path_rejects_a_row_that_is_not_an_object(row):
         parse_trace([{"cycle": 1}, row])
 
 
+def test_rows_go_into_the_columns_as_they_decode():
+    # a decoded row's dict is dropped as soon as the row is in the columns, so
+    # parsing peaks near what the columns keep (about 45 B a row: the label's
+    # int, its list slot, two bytes per address and one each for data and
+    # flags), not near the loaded rows (about 350 B a row)
+    rows = []
+    for i in range(5000):
+        row = {"cycle": 2 * i + 1, "pc": f"0x{0x4000 + i % 256:04X}"}
+        if i % 3 == 0:
+            row.update(ren=True, daddr=f"0x{0x4100 + i % 512:04X}")
+        elif i % 3 == 1:
+            row.update(wen=True, dma_en=True, dma_addr=0x4200 + i % 64, data=f"0x{i % 256:02X}")
+        rows.append(row)
+    text = json.dumps({"trace": rows})
+    del rows
+    gc.collect()
+    tracemalloc.start()
+    try:
+        trace = parse_scenario(text).trace
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 5000
+    assert peak <= 96 * 5000, f"{peak / 5000:.0f} B per row"
+
+
 # -- the slotted event types ----------------------------------------------------
 
 
@@ -264,6 +292,28 @@ def test_direct_event_construction_keeps_its_checks():
 def test_deeply_nested_json_is_a_syntax_error(text):
     with pytest.raises(ScenarioSyntaxError, match="nesting too deep"):
         parse_scenario(text)
+
+
+def test_a_document_at_the_nesting_limit_reads_as_plain_decoding_reads_it():
+    # the row reader's frame takes a document at the limit past it, so such a
+    # document is decoded again without the reader
+    def nested(depth):
+        return '{"name": ' + '{"a": ' * depth + "1" + "}" * depth + "}"
+
+    def decodes(text):  # json.loads one frame below this test, as parse_scenario calls it
+        try:
+            json.loads(text)
+        except RecursionError:
+            return False
+        return True
+
+    depth = 1
+    while decodes(nested(depth + 1)):
+        depth += 1
+    with pytest.raises(ScenarioSemanticError, match=r"^name: expected a string$"):
+        parse_scenario(nested(depth))
+    with pytest.raises(ScenarioSyntaxError, match=r"^JSON nesting too deep$"):
+        parse_scenario(nested(depth + 1))
 
 
 def test_integer_past_the_digit_limit_is_a_syntax_error():
