@@ -32,7 +32,7 @@ import struct
 from dataclasses import dataclass
 from typing import BinaryIO
 
-from .memory import DIGEST_SIZE, DeviceState, MemoryLayout, RegionKind
+from .memory import ADDR_MASK, DIGEST_SIZE, DeviceState, MemoryLayout, RegionKind, addr_text
 
 NONCE_SIZE = 32
 
@@ -151,13 +151,17 @@ class AttestReport:
     def __post_init__(self):
         if len(self.tag) != DIGEST_SIZE:
             raise ValueError(f"tag must be {DIGEST_SIZE} bytes, got {len(self.tag)}")
+        if not (0 <= self.er_min <= ADDR_MASK and 0 <= self.er_max <= ADDR_MASK):
+            raise ValueError(
+                f"window {addr_text(self.er_min)}-{addr_text(self.er_max)} does not fit 16 bits"
+            )
 
 
 def _tag(
     key: bytes, nonce: bytes, er_min: int, er_max: int, exec_flag: bool, region_bytes: bytes
 ) -> bytes:
     """The keyed digest of the tag input of the module docstring."""
-    window = _WINDOW.pack(er_min & 0xFFFF, er_max & 0xFFFF, exec_flag)
+    window = _WINDOW.pack(er_min, er_max, exec_flag)
     return hmac_sha256(key, nonce + window + region_bytes)
 
 

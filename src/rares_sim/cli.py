@@ -6,7 +6,8 @@
 
 Exit codes: 0 clean, 1 scenario/usage error, 2 violations detected (or a
 failed attestation verdict), 3 unrecoverable device.  JSON output goes to
-stdout with nothing else mixed in; diagnostics go to stderr.
+stdout with nothing else mixed in; diagnostics go to stderr.  `run` stops
+silently, with the report's exit code, when stdout's reader leaves early.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import enum
 import json
+import os
 import sys
 
 from .attestation import NONCE_SIZE, AttestRequest, verify_report
@@ -126,11 +128,16 @@ class _StdoutChunks:
 def cmd_run(args) -> int:
     report = run(_load(args.scenario))
     out = _StdoutChunks()
-    if args.format == "json":
-        report.write_json(out.write)
-    else:
-        report.write_text(out.write, show_pre_clear=args.snapshot_pre_clear)
-    out.flush()
+    try:
+        if args.format == "json":
+            report.write_json(out.write)
+        else:
+            report.write_text(out.write, show_pre_clear=args.snapshot_pre_clear)
+        out.flush()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the buffered rest goes to the null device, so the exit flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return _EXIT_BY_CLASS[report.exit_class]
 
 
@@ -175,7 +182,7 @@ def cmd_attest(args) -> int:
 
     # Challenge the device one cycle after all the scenario schedules (its last
     # label, its challenges, its window's end), so the last answer is this one.
-    scheduled = [item.cycle for item in (*scenario.trace[-1:], *scenario.attest_requests)]
+    scheduled = scenario.trace.cycle[-1:] + [item.cycle for item in scenario.attest_requests]
     challenge_cycle = max(scheduled + [scenario.pox.end_cycle if scenario.pox else 0]) + 1
     scenario.attest_requests = list(scenario.attest_requests) + [
         AttestAt(cycle=challenge_cycle, request=request)

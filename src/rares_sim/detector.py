@@ -202,7 +202,7 @@ _DMA_SHIFT = 4
 
 
 def _build_rule_masks() -> tuple[int, ...]:
-    """R1-R8 for every signal combination, in `event_mask`'s index order:
+    """R1-R8 for every signal combination, in `cycle_mask`'s index order:
     pc kind code, target kind code, dma_en, wen, ren, irq (lowest bit)."""
     by_context: dict[ExecContext, list[int]] = {}
     for ctx in ExecContext:
@@ -256,14 +256,9 @@ def cycle_mask(layout: MemoryLayout, pc: int, target: int, flags: int) -> int:
     return RULE_MASKS[index[pc] << 7 | index[target] << 4 | flags]
 
 
-def event_mask(layout: MemoryLayout, event: AccessEvent) -> int:
-    """`cycle_mask` for one event."""
-    return cycle_mask(layout, *event_cycle(event))
-
-
 def classify(layout: MemoryLayout, event: AccessEvent) -> set[ViolationKind]:
     """Pure rule-table match; benign events yield the empty set."""
-    return set(MASK_KINDS[event_mask(layout, event)])
+    return set(MASK_KINDS[cycle_mask(layout, *event_cycle(event))])
 
 
 def latch_cycle(state: DeviceState, pc: int, target: int, flags: int) -> int:
@@ -281,15 +276,10 @@ def latch_cycle(state: DeviceState, pc: int, target: int, flags: int) -> int:
     return mask
 
 
-def latch_event(state: DeviceState, event: AccessEvent) -> int:
-    """`latch_cycle` for one event."""
-    return latch_cycle(state, *event_cycle(event))
-
-
 def step(state: DeviceState, event: AccessEvent) -> set[ViolationKind]:
-    """`latch_event`, returning the violations matched this cycle (already
-    latched) as a set."""
-    return set(MASK_KINDS[latch_event(state, event)])
+    """`latch_cycle` for one event, returning the violations matched this
+    cycle (already latched) as a set."""
+    return set(MASK_KINDS[latch_cycle(state, *event_cycle(event))])
 
 
 def software_read_ctrl(state: DeviceState) -> int:

@@ -1049,7 +1049,7 @@ def _events_json(events: list[RecoveryEvent], write) -> None:
     "boot" object is hand-written too, since it is written once per event.
 
     Event kinds and boot outcomes are fixed ASCII words and the digests
-    hex, so nothing needs escaping.
+    hex, so nothing needs escaping.  A reboot records at least one digest.
     """
     if not events:
         write("[]")
@@ -1060,20 +1060,17 @@ def _events_json(events: list[RecoveryEvent], write) -> None:
         if boot is None:
             boot_text = "null"
         else:
-            digests = "[]"
-            if boot.digests:
-                items = ",\n".join(
-                    "          {\n"
-                    f'            "computed": "{computed.hex()}",\n'
-                    f'            "reference": "{reference.hex()}"\n'
-                    "          }"
-                    for computed, reference in boot.digests
-                )
-                digests = f"[\n{items}\n        ]"
+            digests = ",\n".join(
+                "          {\n"
+                f'            "computed": "{computed.hex()}",\n'
+                f'            "reference": "{reference.hex()}"\n'
+                "          }"
+                for computed, reference in boot.digests
+            )
             boot_text = (
                 "{\n"
                 f'        "attempts": {boot.attempts},\n'
-                f'        "digests": {digests},\n'
+                f'        "digests": [\n{digests}\n        ],\n'
                 f'        "outcome": "{boot.outcome.value}"\n'
                 "      }"
             )
@@ -1089,12 +1086,11 @@ def _events_json(events: list[RecoveryEvent], write) -> None:
 
 
 def _pair_line(violations, actions) -> tuple[str, str]:
-    """A row's violation and action columns in the text form."""
+    """A row's violation and action columns in the text form.  The row has a
+    violation and a binding maps every kind, so neither column is empty."""
     return (
-        " ".join(v.name for v in violations) or "-",
-        " ".join(
-            f"{rec.action.label()}{'' if rec.applied else '(subsumed)'}" for rec in actions
-        ) or "-",
+        " ".join(v.name for v in violations),
+        " ".join(f"{rec.action.label()}{'' if rec.applied else '(subsumed)'}" for rec in actions),
     )
 
 

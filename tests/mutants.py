@@ -90,8 +90,8 @@ MUTANTS = [
     (
         "a reboot's recovery event loses its second digest",
         "src/rares_sim/scenario.py",
-        '"          }"\n                    for computed, reference in boot.digests\n',
-        '"          }"\n                    for computed, reference in boot.digests[:1]\n',
+        '"          }"\n                for computed, reference in boot.digests\n',
+        '"          }"\n                for computed, reference in boot.digests[:1]\n',
         [SCENARIO_TESTS + "test_reference_run_matches_run_on_generated_scenarios"],
     ),
     (
@@ -107,6 +107,13 @@ MUTANTS = [
         '" ".join(v.name for v in violations)',
         '" ".join({v.name for v in violations})',
         ["tests/test_cli.py::test_run_output_does_not_depend_on_the_hash_seed"],
+    ),
+    (
+        "a report window outside 16 bits is accepted",
+        "src/rares_sim/attestation.py",
+        "if not (0 <= self.er_min <= ADDR_MASK and 0 <= self.er_max <= ADDR_MASK):",
+        "if False:",
+        ["tests/test_attestation.py::test_report_window_must_fit_16_bits"],
     ),
     (
         "a request's fields go on the wire little-endian",

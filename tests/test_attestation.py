@@ -288,6 +288,21 @@ def test_report_tag_must_be_32_bytes(size):
     assert decode_report(encode_report(report)) == report
 
 
+def test_report_window_must_fit_16_bits(state):
+    # the tag binds the window as two 16-bit fields, so a report carrying
+    # 0x14000-0x140FF with the genuine tag of 0x4000-0x40FF is refused at
+    # construction, before a verifier could accept it
+    pox_begin(state, 0x4000, 0x40FF)
+    pox_end(state)
+    genuine = attest(state, AttestRequest(nonce=NONCE, region_start=0x4000, region_end=0x40FF))
+    with pytest.raises(ValueError, match="does not fit 16 bits"):
+        AttestReport(genuine.exec_flag, 0x14000, 0x140FF, genuine.tag)
+    with pytest.raises(ValueError, match="does not fit 16 bits"):
+        AttestReport(exec_flag=True, er_min=-1, er_max=1, tag=bytes(32))
+    widest = AttestReport(exec_flag=True, er_min=0, er_max=0xFFFF, tag=bytes(32))
+    assert decode_report(encode_report(widest)) == widest
+
+
 def test_decode_rejects_wrong_type_or_length():
     good = encode_request(AttestRequest(nonce=NONCE, region_start=0, region_end=1))
     with pytest.raises(FrameError):

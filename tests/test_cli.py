@@ -15,6 +15,7 @@ from conftest import ROOT, SCENARIO_DIR, bench_scenario_text, scenario_paths
 from rares_sim import cli
 from rares_sim.cli import ExitStatus, main
 from rares_sim.scenario import parse_scenario_file, run
+from test_scenario import RECOVERY_DOCS
 
 NONCE_HEX = "ab" * 32
 
@@ -187,6 +188,13 @@ def test_attest_bad_nonce(capsys):
     assert code == ExitStatus.USAGE and "32 bytes" in err
 
 
+def test_attest_bad_address(capsys):
+    path = str(SCENARIO_DIR / "benign.rares.json")
+    code, out, err = invoke(capsys, "attest", path, "--nonce", NONCE_HEX, "--start", "zz")
+    assert (code, out) == (ExitStatus.USAGE, "")
+    assert err == "rares-sim: --start/--end: bad address\n"
+
+
 def test_attest_bounds_must_share_a_region(capsys):
     path = str(SCENARIO_DIR / "benign.rares.json")
     code, _, err = invoke(
@@ -202,6 +210,16 @@ def test_attest_unrecoverable_device(capsys):
     )
     assert code == ExitStatus.UNRECOVERABLE
     assert "unrecoverable" in err
+
+
+def test_attest_device_unrecoverable_after_the_trace(capsys, tmp_path):
+    # power-on boot is clean, so the verifier has a reference, but the
+    # reboot after the trace's reset cannot recover
+    path = tmp_path / "reset_unrecoverable.rares.json"
+    path.write_text(json.dumps(RECOVERY_DOCS["reset_unrecoverable"]))
+    code, out, err = invoke(capsys, "attest", str(path), "--nonce", NONCE_HEX)
+    assert (code, out) == (ExitStatus.UNRECOVERABLE, "")
+    assert err == "attest: device became unrecoverable during the trace\n"
 
 
 def test_usage_errors_exit_one(capsys):
@@ -398,6 +416,9 @@ class CountingSink:
         self.digest.update(data)
         return len(text)
 
+    def flush(self):
+        pass
+
 
 @pytest.mark.parametrize("fmt", ["json", "text"])
 def test_run_writes_the_report_as_it_makes_it(monkeypatch, tmp_path, fmt):
@@ -439,3 +460,22 @@ def test_run_writes_the_report_as_it_makes_it(monkeypatch, tmp_path, fmt):
         # command, reading and parsing the scenario included, stays under half
         # of it too
         assert max(read_peak, peak) <= sink.size / 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_run_stops_quietly_when_the_reader_leaves(tmp_path, fmt):
+    # the report is megabytes, far past a pipe's buffer, so the command is
+    # still writing when the reader closes its end after a few bytes
+    path = tmp_path / "long.rares.json"
+    path.write_text(bench_scenario_text("long_trace", 7))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with subprocess.Popen(
+        [sys.executable, "-m", "rares_sim.cli", "run", str(path), "--format", fmt],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 100
+    assert (code, err) == (ExitStatus.VIOLATIONS, b"")

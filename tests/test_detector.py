@@ -14,8 +14,9 @@ from rares_sim.detector import (
     ViolationKind,
     WriteAccessDenied,
     classify,
+    cycle_mask,
     decode_bits,
-    event_mask,
+    event_cycle,
     exec_context,
     software_read_ctrl,
     software_write_ctrl,
@@ -61,7 +62,7 @@ BENIGN_EVENTS = [
 @pytest.mark.parametrize("kind", list(V), ids=lambda k: k.name)
 def test_each_attack_event_sets_exactly_its_bit(layout, kind):
     assert classify(layout, ATTACK_EVENTS[kind]) == {kind}
-    assert event_mask(layout, ATTACK_EVENTS[kind]) == 1 << kind.value
+    assert cycle_mask(layout, *event_cycle(ATTACK_EVENTS[kind])) == 1 << kind.value
     assert MASK_KINDS[1 << kind.value] == (kind,)
 
 
@@ -215,7 +216,7 @@ def events(draw):
 @given(event=events())
 @settings(max_examples=500)
 def test_single_event_matches_naive_word(layout, event):
-    mask = event_mask(layout, event)
+    mask = cycle_mask(layout, *event_cycle(event))
     assert mask == classify_trace_naive(layout, [event])
     assert classify(layout, event) == {kind for kind in V if mask & kind.mask}
 
@@ -245,7 +246,7 @@ def assert_rule_table_matches_naive(layout, places):
                             dma_en=dma_en,
                             dma_addr=target if dma_en else key_rom,
                         )
-                        assert event_mask(layout, event) == classify_trace_naive(
+                        assert cycle_mask(layout, *event_cycle(event)) == classify_trace_naive(
                             layout, [event]
                         ), event
 

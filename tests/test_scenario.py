@@ -129,6 +129,13 @@ def test_bad_json_reports_position():
          r"^trace\[0\]\.pc: bad address \{'cycle': 2\}$"),
         ('{"pox": {"cycle": 1}, "trace": [{"cycle": 2, "pc": "0x4000"}]}',
          r"^pox: unknown fields cycle$"),
+        ('{"layout": {"flash": "0xE000"}}', r"^layout\.flash: expected \[start, end\]$"),
+        ('{"binding": {"IRQ_RAM": 5}}', r"^binding\.IRQ_RAM: expected a string or object$"),
+        ('{"golden": {"reference_digest": "00"}}',
+         r"^golden\.reference_digest length must be 32 bytes$"),
+        ('{"layout": {"metadata": ["0x0B00", "0x0B00"]}}',
+         r"metadata region must hold at least the 2-byte register image$"),
+        ("[]", r"^scenario must be a JSON object$"),
     ],
 )
 def test_semantic_errors(text, match):
