@@ -6,8 +6,8 @@
 
 Exit codes: 0 clean, 1 scenario/usage error, 2 violations detected (or a
 failed attestation verdict), 3 unrecoverable device.  JSON output goes to
-stdout with nothing else mixed in; diagnostics go to stderr.  `run` stops
-silently, with the report's exit code, when stdout's reader leaves early.
+stdout with nothing else mixed in; diagnostics go to stderr.  Every command
+stops quietly, with its own exit code, when stdout's reader leaves.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .scenario import (
     parse_scenario_file,
     run,
 )
-from .secureboot import BootOutcome, fsbl_boot
+from .secureboot import BootOutcome, BootReport, fsbl_boot
 
 
 class ExitStatus(enum.IntEnum):
@@ -95,7 +95,7 @@ def _load(path: str) -> Scenario:
         raise ScenarioError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _boot_fresh(scenario: Scenario) -> tuple[DeviceState, "BootReport"]:
+def _boot_fresh(scenario: Scenario) -> tuple[DeviceState, BootReport]:
     state = build_device(scenario)
     return state, fsbl_boot(state)
 
@@ -120,41 +120,39 @@ class _StdoutChunks:
             self.flush()
 
     def flush(self) -> None:
-        sys.stdout.write("".join(self.pieces))
+        try:
+            sys.stdout.write("".join(self.pieces))
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader has left: the rest, and the exit flush, go to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         self.pieces.clear()
         self.size = 0
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, write) -> int:
     report = run(_load(args.scenario))
-    out = _StdoutChunks()
-    try:
-        if args.format == "json":
-            report.write_json(out.write)
-        else:
-            report.write_text(out.write, show_pre_clear=args.snapshot_pre_clear)
-        out.flush()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the buffered rest goes to the null device, so the exit flush cannot fail
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if args.format == "json":
+        report.write_json(write)
+    else:
+        report.write_text(write, show_pre_clear=args.snapshot_pre_clear)
     return _EXIT_BY_CLASS[report.exit_class]
 
 
-def cmd_boot(args) -> int:
+def cmd_boot(args, write) -> int:
     scenario = _load(args.scenario)
     _, boot = _boot_fresh(scenario)
     if args.format == "json":
         payload = {"scenario": scenario.name, **_boot_to_dict(boot)}
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
-        sys.stdout.write("\n".join(_boot_lines(boot)) + "\n")
+        write("\n".join(_boot_lines(boot)) + "\n")
     if boot.outcome is BootOutcome.UNRECOVERABLE:
         return ExitStatus.UNRECOVERABLE
     return ExitStatus.OK
 
 
-def cmd_attest(args) -> int:
+def cmd_attest(args, write) -> int:
     scenario = _load(args.scenario)
     try:
         nonce = bytes.fromhex(args.nonce)
@@ -202,10 +200,10 @@ def cmd_attest(args) -> int:
             **_attest_to_dict(request, answer.report),
             "verdict": verdict,
         }
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     else:
         r = answer.report
-        sys.stdout.write(
+        write(
             f"attest: region=0x{start:04X}-0x{end:04X} exec_flag={str(r.exec_flag).lower()} "
             f"er=0x{r.er_min:04X}-0x{r.er_max:04X}\n"
             f"tag: {r.tag.hex()}\n"
@@ -218,11 +216,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"run": cmd_run, "boot": cmd_boot, "attest": cmd_attest}
+    out = _StdoutChunks()
     try:
-        return int(handlers[args.command](args))
+        code = handlers[args.command](args, out.write)
     except ScenarioError as exc:
         sys.stderr.write(f"rares-sim: {exc}\n")
         return int(ExitStatus.USAGE)
+    out.flush()
+    return int(code)
 
 
 if __name__ == "__main__":

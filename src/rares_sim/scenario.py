@@ -32,14 +32,13 @@ Top-level keys (all optional except none):
 
 Bad input raises a ScenarioError with a located message: JSON errors give
 line and column (or say the nesting or an integer is too large), every
-other error names its field.  One row reader (`_row_reader`) checks trace
-rows.  The decoder hands it each object as it is decoded, so a row goes
-into the columns and its dict is dropped at once (`_decode_with_columns`).
-When that does not yield the whole trace (a row it refuses, or a row-shaped
-object outside the trace), the text is decoded again and the rows go
-through the same reader in one loop (`_parse_trace`); a row it refuses
-re-enters the per-field helpers (`_parse_step`), which own each message, so
-both paths accept the same rows and say the same thing.
+other error names its field.  The decoder's hook checks each object as it
+is decoded, so a trace row goes into the columns and its dict is dropped at
+once (`_decode_with_columns`).  When that does not yield the whole trace (a
+row it refuses, or a row-shaped object outside the trace), the text is
+decoded again without the hook, and every row goes through the per-field
+helpers (`_parse_step`), which own each message.  The hook takes only rows
+those helpers accept, so both decodes build the same trace.
 
 The parsed trace is a `Trace`: one column per field (cycle labels in a list,
 so they stay unbounded; addresses in 16-bit arrays; data and the packed
@@ -360,7 +359,7 @@ _BINDING_KEYS = {"action", "mask"}
 _POX_KEYS = {"begin_cycle", "end_cycle", "er_min", "er_max"}
 _ATTEST_KEYS = {"cycle", "nonce", "region_start", "region_end"}
 # A trace row's fields and the values they default to ("cycle" has none), in
-# the order `_parse_trace` unpacks them.
+# the order `_decode_with_columns` unpacks them.
 _TRACE_DEFAULTS = {
     "cycle": None, "pc": 0, "irq": False, "ren": False, "wen": False,
     "daddr": 0, "dma_en": False, "dma_addr": 0, "data": 0,
@@ -594,29 +593,41 @@ def _parse_step(tobj, where: str, last_cycle: int) -> TraceStep:
     return TraceStep(cycle=cycle, event=event, data=data)
 
 
-# What the row reader returns for a row it has put into the columns.
+# What the decoder's hook returns for a row it has put into the columns.
 _ROW = object()
 
 
-def _row_reader(trace: Trace):
-    """The fast path of the trace parser, the one place that checks a row:
-    a function that takes a decoded object and, when it is a trace row
-    labelled after `trace`'s last cycle, appends it to `trace`'s columns and
-    returns `_ROW`; any other object it returns unchanged.  It never raises.
+def _decode_with_columns(text: str) -> dict | None:
+    """The JSON document `text` with its trace rows read into columns as they
+    decode, so that no row's dict outlives its decoding; None when the
+    columns are not the whole trace.
 
-    A row is merged over `_TRACE_DEFAULTS`; the merge keeps nine keys, in
-    field order, exactly when the row names no unknown key.  A row whose
-    values are then of exact JSON types, in range, not both ren and wen, and
-    whose cycle increases goes straight into the columns, without the
-    `AccessEvent.__post_init__` checks made here.
+    The decoder's hook sees each object, not where it sits.  A trace row
+    labelled after the last one taken goes into the columns and becomes
+    `_ROW`; any other object comes back unchanged, and the hook never
+    raises.  It takes only rows the per-field helpers accept, with the
+    values they give: merged over `_TRACE_DEFAULTS`, a row keeps nine keys,
+    in field order, exactly when it names no unknown key, and it goes in
+    when those are of exact JSON types, in range, not both ren and wen, and
+    its cycle increases.
+
+    So the columns are the trace only when the top level is an object whose
+    "trace" (an empty one when absent) is a list of exactly as many `_ROW`s
+    as the hook took; then "trace" holds that `Trace`.  Otherwise a row was
+    refused, or a row-shaped object sits outside the trace (say
+    ``"pox": {"cycle": 1}``, a row inside a row, or a second "trace" key),
+    and the caller decodes the text again without the hook, for
+    `_parse_trace` and the section parsers to read.  A JSON error is raised
+    as plain decoding raises it.
     """
+    trace = Trace()
     add_cycle, add_pc, add_daddr = trace.cycle.append, trace.pc.append, trace.daddr.append
     add_dma_addr, add_data, add_flags = (
         trace.dma_addr.append, trace.data.append, trace.flags.append
     )
     defaults = _TRACE_DEFAULTS
     nkeys = len(defaults)
-    last_cycle = trace.cycle[-1] if trace else 0
+    last_cycle = 0
 
     def read_row(obj: dict):
         nonlocal last_cycle
@@ -657,28 +668,9 @@ def _row_reader(trace: Trace):
             return _ROW
         return obj
 
-    return read_row
-
-
-def _decode_with_columns(text: str) -> dict | None:
-    """The JSON document `text` with its trace rows read into columns as they
-    decode, so that no row's dict outlives its decoding; None when the
-    columns are not the whole trace.
-
-    The row reader sees each object, not where it sits.  So the columns are
-    the trace only when the top level is an object whose "trace" (an empty
-    one when absent) is a list of exactly as many `_ROW`s as the reader
-    took; then "trace" holds that `Trace`.  Otherwise a row was refused, or
-    a row-shaped object sits outside the trace (say ``"pox": {"cycle": 1}``,
-    a row inside a row, or a second "trace" key), and the caller decodes the
-    text again without the reader, for `_parse_trace` and the section
-    parsers to read as they always have.  A JSON error is raised as plain
-    decoding raises it.
-    """
-    trace = Trace()
     try:
-        obj = json.loads(text, object_hook=_row_reader(trace))
-    except RecursionError:  # the reader's frame takes a document at the limit past it
+        obj = json.loads(text, object_hook=read_row)
+    except RecursionError:  # the hook's frame takes a document at the limit past it
         return None
     if type(obj) is dict:
         rows = obj.get("trace", [])
@@ -690,19 +682,12 @@ def _decode_with_columns(text: str) -> dict | None:
 
 def _parse_trace(raw_trace: list) -> Trace:
     """The rows of a trace that did not go into columns as it decoded
-    (`_decode_with_columns`), in one loop: each row through the row reader,
-    and a row it refuses through `_parse_step`, so the per-field helpers
-    decide what is accepted and say what is wrong, as they do for the rest
-    of the scenario.
-    """
+    (`_decode_with_columns`), each through `_parse_step`, so the per-field
+    helpers decide what is accepted and say what is wrong, as they do for
+    the rest of the scenario."""
     trace = Trace()
-    read_row = _row_reader(trace)
-    for tobj in raw_trace:
-        if type(tobj) is dict and read_row(tobj) is _ROW:
-            continue
-        # every row before this one is in the columns, so their length is its index
-        trace._add(_parse_step(tobj, f"trace[{len(trace)}]", trace.cycle[-1] if trace else 0))
-        read_row = _row_reader(trace)  # it goes on after the row just added
+    for i, tobj in enumerate(raw_trace):
+        trace._add(_parse_step(tobj, f"trace[{i}]", trace.cycle[-1] if trace else 0))
     return trace
 
 

@@ -78,6 +78,16 @@ MUTANTS = [
         ],
     ),
     (
+        "the second decode drops each row's data byte",
+        "src/rares_sim/scenario.py",
+        "return TraceStep(cycle=cycle, event=event, data=data)",
+        "return TraceStep(cycle=cycle, event=event, data=0)",
+        [
+            "tests/test_trace_parsing.py::"
+            "test_second_decode_builds_the_trace_the_first_does",
+        ],
+    ),
+    (
         "the decoded columns are the trace without the post-decode check",
         "src/rares_sim/scenario.py",
         "if type(rows) is list and len(rows) == len(trace) == rows.count(_ROW):",

@@ -462,20 +462,45 @@ def test_run_writes_the_report_as_it_makes_it(monkeypatch, tmp_path, fmt):
         assert max(read_peak, peak) <= sink.size / 2
 
 
+@pytest.mark.parametrize(
+    "command,scenario,expected",
+    [
+        (["run"], None, ExitStatus.VIOLATIONS),
+        (["boot"], "benign.rares.json", ExitStatus.OK),
+        (["boot"], "unrecoverable.rares.json", ExitStatus.UNRECOVERABLE),
+        (["attest", "--nonce", NONCE_HEX], "benign.rares.json", ExitStatus.VIOLATIONS),
+    ],
+    ids=["run", "boot", "boot-unrecoverable", "attest"],
+)
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_run_stops_quietly_when_the_reader_leaves(tmp_path, fmt):
-    # the report is megabytes, far past a pipe's buffer, so the command is
-    # still writing when the reader closes its end after a few bytes
-    path = tmp_path / "long.rares.json"
-    path.write_text(bench_scenario_text("long_trace", 7))
+def test_run_stops_quietly_when_the_reader_leaves(tmp_path, fmt, command, scenario, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    with subprocess.Popen(
-        [sys.executable, "-m", "rares_sim.cli", "run", str(path), "--format", fmt],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    ) as proc:
-        head = proc.stdout.read(100)
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
-    assert len(head) == 100
-    assert (code, err) == (ExitStatus.VIOLATIONS, b"")
+    if scenario is None:
+        # the report is megabytes, far past a pipe's buffer, so the command is
+        # still writing when the reader closes its end after a few bytes
+        path = tmp_path / "long.rares.json"
+        path.write_text(bench_scenario_text("long_trace", 7))
+        with subprocess.Popen(
+            [sys.executable, "-m", "rares_sim.cli", *command, str(path), "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        ) as proc:
+            head = proc.stdout.read(100)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        assert len(head) == 100
+    else:
+        # the output fits a pipe's buffer, so the reader has left before the
+        # command starts: its first write already finds the pipe broken
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "rares_sim.cli", *command,
+                 str(SCENARIO_DIR / scenario), "--format", fmt],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        code, err = proc.returncode, proc.stderr
+    assert (code, err) == (expected, b"")

@@ -177,6 +177,15 @@ def test_fast_path_fails_or_accepts_as_the_per_field_helpers_do(rows):
     assert outcome(parse_trace, rows) == expected
 
 
+@given(rows=st.integers(0, 8).flatmap(valid_rows))
+@settings(max_examples=300, deadline=None)
+def test_second_decode_builds_the_trace_the_first_does(rows):
+    # the shadowed first "trace" holds a row the hook takes, so the columns are
+    # not the trace and the text is decoded again without the hook
+    text = '{"trace": [{"cycle": 1}], "trace": ' + json.dumps(rows) + "}"
+    assert list(parse_scenario(text).trace) == parse_trace(rows)
+
+
 EDGE_VALUES = [None, 1.5, [], {}, True, False, -1, "", "zz", "-0x1", "0x_"]
 EDGE_CORRUPTIONS = [
     *((name, value) for name in ADDR_FIELDS for value in [*EDGE_VALUES, 0x10000, "0x10000"]),
