@@ -139,6 +139,11 @@ class AttestRequest:
     def __post_init__(self):
         if len(self.nonce) != NONCE_SIZE:
             raise ValueError(f"nonce must be {NONCE_SIZE} bytes, got {len(self.nonce)}")
+        if not (0 <= self.region_start <= ADDR_MASK and 0 <= self.region_end <= ADDR_MASK):
+            raise ValueError(
+                f"region {addr_text(self.region_start)}-{addr_text(self.region_end)} "
+                "does not fit 16 bits"
+            )
 
 
 @dataclass(frozen=True)

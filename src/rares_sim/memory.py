@@ -3,7 +3,9 @@
 A 16-bit flat address space split into seven regions (boot ROM, key ROM,
 recovery ROM, flash, application RAM, reserved stack, metadata).  Region
 bounds are configuration, not constants; :data:`DEFAULT_REGIONS` is one
-workable arrangement.  The three ROM kinds and the metadata region are
+workable arrangement.  A :class:`DeviceState` holds the whole space as one
+buffer indexed by address, and ``state.mem[kind]`` is a writable view of
+that region's part of it.  The three ROM kinds and the metadata region are
 never writable through simulated accesses; the metadata region is a
 read-only view of state that :class:`DeviceState` owns.
 """
@@ -81,6 +83,8 @@ DEFAULT_REGIONS = [
 # in declaration order.  The detector's rule table is indexed by these codes.
 KIND_BY_CODE: tuple[RegionKind | None, ...] = (None, *RegionKind)
 _CODE_BY_KIND = {kind: code for code, kind in enumerate(KIND_BY_CODE) if kind}
+# Codes of the regions that bus writes never reach.
+_READ_ONLY_CODES = frozenset(_CODE_BY_KIND[kind] for kind in ROM_KINDS | {RegionKind.METADATA})
 
 
 def addr_text(addr: int) -> str:
@@ -98,7 +102,6 @@ class MemoryLayout:
     def __init__(self, regions: list[Region]):
         self.regions = sorted(regions, key=lambda r: r.start)
         self._by_kind = {r.kind: r for r in self.regions}
-        self._by_code = tuple(self._by_kind.get(kind) for kind in KIND_BY_CODE)
         index = bytearray(ADDR_MASK + 1)
         for r in self.regions:
             index[r.start:r.end + 1] = bytes([_CODE_BY_KIND[r.kind]]) * r.size
@@ -120,7 +123,7 @@ class MemoryLayout:
             # each kind maps one contiguous region, so equal codes at both
             # ends cover everything between them
             if code and self.index[end] == code:
-                return self._by_code[code]
+                return self._by_kind[KIND_BY_CODE[code]]
         return None
 
 
@@ -185,7 +188,12 @@ class ExecMetadata:
 
 
 class DeviceState:
-    """One device's memories, detection register, and prevention latches.
+    """One device's memory, detection register, and prevention latches.
+
+    ``flat`` holds the whole 16-bit address space, indexed by address (gaps
+    included), and ``mem[kind]`` is a writable view of that region's part of
+    it, so a write through either shows in both.  The views make a state
+    neither picklable nor deep-copyable.
 
     The register, the reference digest and the exec metadata are owned here;
     the header of ``mem[METADATA]`` is only their rendering, written by
@@ -200,21 +208,11 @@ class DeviceState:
         from .prevention import ModeRegister
 
         self.layout = layout
-        self.mem: dict[RegionKind, bytearray] = {
-            r.kind: bytearray(r.size) for r in layout.regions
+        self.flat = bytearray(ADDR_MASK + 1)
+        view = memoryview(self.flat)
+        self.mem: dict[RegionKind, memoryview] = {
+            r.kind: view[r.start:r.end + 1] for r in layout.regions
         }
-        # `apply_write`'s view of the map, indexed by `layout.index` code:
-        # None for the gap, else (buffer, region start) with no buffer for
-        # the ROMs and the metadata view.  The buffers are only ever changed
-        # in place, so the view never goes stale.
-        read_only = ROM_KINDS | {RegionKind.METADATA}
-        self._write_targets = tuple(
-            None if region is None else (
-                None if region.kind in read_only else self.mem[region.kind],
-                region.start,
-            )
-            for region in layout._by_code
-        )
         self.ctrl = CtrlRegister()
         self.r2 = ModeRegister()
         self.cpu_halted = False
@@ -262,12 +260,9 @@ class DeviceState:
     def read_byte(self, addr: int) -> int:
         """Bus read; gap addresses read as 0x00."""
         kind = self.layout.classify(addr)
-        if kind is None:
-            return 0x00
         if kind is RegionKind.METADATA:
             self.sync_metadata()
-        region = self.layout.region(kind)
-        return self.mem[kind][addr - region.start]
+        return 0x00 if kind is None else self.flat[addr]
 
     def region_bytes(self, start: int, end: int) -> bytes:
         """Contents of [start, end] inclusive; bounds must share one region."""
@@ -276,7 +271,7 @@ class DeviceState:
             raise ValueError(f"range {addr_text(start)}-{addr_text(end)} not within one region")
         if region.kind is RegionKind.METADATA:
             self.sync_metadata()
-        return bytes(self.mem[region.kind][start - region.start:end - region.start + 1])
+        return bytes(self.flat[start:end + 1])
 
     def region_digests(self) -> dict[str, str]:
         self.sync_metadata()
@@ -308,11 +303,10 @@ def apply_write(state: DeviceState, addr: int, byte: int) -> WriteResult:
     """
     if not 0 <= byte <= 0xFF:
         raise ValueError(f"byte value {byte!r} out of range")
-    target = state._write_targets[state.layout.index[addr]] if 0 <= addr <= ADDR_MASK else None
-    if target is None:
+    code = state.layout.index[addr] if 0 <= addr <= ADDR_MASK else 0
+    if not code:
         raise UnmappedAddressError(addr_text(addr))
-    buf, start = target
-    if buf is None or state.recovery_queued:
+    if code in _READ_ONLY_CODES or state.recovery_queued:
         return WriteResult.SUPPRESSED
-    buf[addr - start] = byte
+    state.flat[addr] = byte
     return WriteResult.APPLIED

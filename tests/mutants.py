@@ -146,6 +146,40 @@ MUTANTS = [
         "json.dumps(value, indent=2).replace(",
         [SCENARIO_TESTS + "test_to_json_matches_stdlib_encoder_on_corpus"],
     ),
+    (
+        "a DMA cycle with no strobe is printed as none",
+        "src/rares_sim/scenario.py",
+        '("wen" if flags & WEN else "idle")',
+        '("wen" if flags & WEN else "none")',
+        [SCENARIO_TESTS + "test_reference_run_matches_run_on_generated_scenarios"],
+    ),
+    (
+        "an empty pre-clear register is printed without its dash",
+        "src/rares_sim/scenario.py",
+        "{' '.join(decode_bits(self.pre_clear_ctrl)) or '-'}",
+        "{' '.join(decode_bits(self.pre_clear_ctrl))}",
+        [SCENARIO_TESTS + "test_reference_run_matches_run_on_generated_scenarios"],
+    ),
+    (
+        "the metadata view takes bus writes",
+        "src/rares_sim/memory.py",
+        "for kind in ROM_KINDS | {RegionKind.METADATA})",
+        "for kind in ROM_KINDS)",
+        [
+            "tests/test_memory.py::test_apply_write_matches_linear_scan",
+            SCENARIO_TESTS + "test_bus_writes_to_the_metadata_view_are_suppressed",
+        ],
+    ),
+    (
+        "a write lands under the raised gate",
+        "src/rares_sim/memory.py",
+        "if code in _READ_ONLY_CODES or state.recovery_queued:",
+        "if code in _READ_ONLY_CODES:",
+        [
+            "tests/test_memory.py::test_gate_suppresses_all_writes",
+            "tests/test_acceptance.py::test_ram_write_attacks_never_land",
+        ],
+    ),
 ]
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis")

@@ -1,5 +1,6 @@
 """The whole-run oracle: the `RunReport.to_dict()` document of a scenario,
-rebuilt from the README's rules with plain loops.
+rebuilt from the README's rules with plain loops, and the text report
+rendered from that document by the README's text layout.
 
 It shares no code with what it checks.  From `rares_sim` it reads only the
 scenario's data, the actions its binding returns from `action_for`, and
@@ -258,3 +259,55 @@ def reference_run(scenario):
         "exit": exit_class,
     })
     return doc
+
+
+def reference_text(doc, show_pre_clear):
+    """The text report `run(scenario).to_text(show_pre_clear)` must equal,
+    rendered line by line from the `reference_run` document `doc`."""
+    boot = doc["boot"]
+    lines = [f"scenario: {doc['scenario']}", f"boot: {boot['outcome']} attempts={boot['attempts']}"]
+    lines += [
+        f"  digest computed={d['computed']} reference={d['reference']}" for d in boot["digests"]
+    ]
+    after = {}  # each recovery event is printed after the row of its cycle
+    for ev in doc["recovery_events"]:
+        after.setdefault(ev["after_cycle"], []).append(ev)
+    for row in doc["rows"]:
+        event = row["event"]
+        parts = ["pc=" + event["pc"]]
+        if event["irq"]:
+            parts.append("irq")
+        # a DMA cycle names its strobe (or idle) and the DMA address; a CPU
+        # cycle names its strobe and the data address, or nothing when idle
+        strobe = "ren" if event["ren"] else "wen" if event["wen"] else None
+        if event["dma_en"]:
+            parts += ["dma", strobe or "idle", event["dma_addr"]]
+        elif strobe:
+            parts += [strobe, event["daddr"]]
+        actions = [
+            rec["action"] + ("" if rec["applied"] else "(subsumed)") for rec in row["actions"]
+        ]
+        columns = [
+            " ".join(parts),
+            " ".join(row["violations"]) or "-",
+            "ctrl=" + row["ctrl"],
+            " ".join(actions) or "-",
+            "mem=" + row["mem_effect"],
+        ]
+        lines.append(f"cycle {str(row['cycle']).rjust(4)}: " + " | ".join(columns))
+        for ev in after.get(row["cycle"], []):
+            tail = f" -> boot {ev['boot']['outcome']}" if ev["boot"] else ""
+            lines.append(f"  [boundary {row['cycle']}] {ev['kind']}{tail}")
+    for rep in doc["attest_reports"]:
+        flag = "true" if rep["exec_flag"] else "false"
+        lines.append(
+            f"attest @ cycle {rep['cycle']}: exec_flag={flag} "
+            f"er={rep['er_min']}-{rep['er_max']} tag={rep['tag']}"
+        )
+    registers = [("pre-clear ctrl", "pre_clear_ctrl")] if show_pre_clear else []
+    for label, key in registers + [("final ctrl", "final_ctrl")]:
+        lines.append(f"{label}: {doc[key]} " + (" ".join(doc[key + '_bits']) or "-"))
+    lines.append(f"final r2: {doc['final_r2']} mode={doc['final_mode']}")
+    lines.append(f"exit: {doc['exit']}")
+    return "".join(line + "\n" for line in lines)
+

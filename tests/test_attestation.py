@@ -31,7 +31,7 @@ from rares_sim.attestation import (
     write_frame,
 )
 from rares_sim.detector import AccessEvent, ViolationKind, step
-from rares_sim.memory import RegionKind
+from rares_sim.memory import RegionKind, addr_text
 
 NONCE = bytes.fromhex("00112233445566778899aabbccddeeff" * 2)
 
@@ -301,6 +301,15 @@ def test_report_window_must_fit_16_bits(state):
         AttestReport(exec_flag=True, er_min=-1, er_max=1, tag=bytes(32))
     widest = AttestReport(exec_flag=True, er_min=0, er_max=0xFFFF, tag=bytes(32))
     assert decode_report(encode_report(widest)) == widest
+
+
+@pytest.mark.parametrize("start,end", [(0x10000, 0x10010), (-1, 5)])
+def test_request_bounds_must_fit_16_bits(start, end):
+    # the request carries its bounds as two 16-bit fields, so bounds past
+    # them are refused at construction, not by the encoder's struct.error
+    message = rf"region {addr_text(start)}-{addr_text(end)} does not fit 16 bits"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        AttestRequest(nonce=NONCE, region_start=start, region_end=end)
 
 
 def test_decode_rejects_wrong_type_or_length():

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DEFAULT_KEY, bench_scenario_text, scenario_paths, slotted_layouts
-from reference_run import reference_run
+from reference_run import reference_run, reference_text
 from rares_sim.attestation import hmac_sha256
 from rares_sim.detector import DETECT_MASK, MASK_KINDS, RESET_MASK, AccessEvent, ViolationKind
 from rares_sim.memory import GoldenImage, RegionKind, build_layout
@@ -920,12 +920,17 @@ def test_benchmark_trace_reports_are_byte_identical(workload):
 # -- whole-run reference -----------------------------------------------------
 #
 # `reference_run` rebuilds the report document from the README's rules with
-# none of the package's run, prevention, memory, boot or report code, so
-# these properties check `run()` and the JSON writer together.
+# none of the package's run, prevention, memory, boot or report code, and
+# `reference_text` renders the text layout from that document with none of
+# the text writer's code, so these properties check `run()` and both writers
+# together.
 
 
 def assert_reference_matches(scenario):
-    assert run(scenario).to_dict() == reference_run(scenario)
+    report, doc = run(scenario), reference_run(scenario)
+    assert report.to_dict() == doc
+    for show_pre_clear in (True, False):
+        assert report.to_text(show_pre_clear) == reference_text(doc, show_pre_clear)
 
 
 _NONCE = "5a" * 32
@@ -943,6 +948,9 @@ _NONCE = "5a" * 32
 @example(doc={  # IRQ_RAM bound to the gate, CPU_ROM_RD to CPU-off: the gate wins
     "binding": {"IRQ_RAM": "chip_gate_and_recover"},
     "trace": [{"cycle": 1, "pc": "0x4000", "irq": True, "ren": True, "daddr": "0x6A00"}],
+})
+@example(doc={  # a DMA cycle with neither strobe is printed idle
+    "trace": [{"cycle": 1, "pc": "0x4000", "dma_en": True, "dma_addr": "0x4010"}],
 })
 @example(doc={  # a key-ROM read halts the CPU: its next write is suppressed, DMA's is not
     "trace": [
